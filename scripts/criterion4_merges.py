@@ -69,12 +69,12 @@ def run_root(root):
         for a_idx, name in ALGORITHMS:
             seed = np.random.SeedSequence([root, SIGMA_INDEX, t, a_idx])
             with mock.patch.object(centralized, "fuse", wraps=centralized.fuse) as fuse:
-                result, _ = _run_algorithm(name, config, data, seed)
-            pe[name] = classification_error(data.labels, result.assignments, config.k, result.k_hat)
-            if name == "centrex" and result.k_hat < config.k:
+                cell = _run_algorithm(name, config, data, seed)
+            pe[name] = classification_error(data.labels, cell.assignments, config.k, cell.k_hat)
+            if name == "centrex" and cell.k_hat < config.k:
                 handed = fuse.call_args.args[0]
                 modes, converged = _true_centre_modes(config, data)
-                merges.append((t, result.k_hat, len(handed), _distinct(handed), modes, converged))
+                merges.append((t, cell.k_hat, len(handed), _distinct(handed), modes, converged))
         diffs.append(pe["centrex"] - pe["kmeans100"])
     diffs = np.array(diffs)
     mean = float(diffs.mean())

@@ -10,6 +10,7 @@ from .centralized import (
     ClusteringResult,
     Dataset,
     classify,
+    distortion,
     estimate_sigma_post,
     fixed_point,
     fuse,
@@ -30,11 +31,10 @@ from .decentralized import (
 from .harness import (
     ExperimentConfig,
     classification_error,
-    distortion,
     generate_dataset,
     run_experiment,
 )
 from .statfn import KernelSpec, RSquared, marcum_q, r_squared, threshold_mu, weight
-from .wald import Decision, WaldConfig, fusion_sigma, p_value, wald_decide
+from .wald import WaldConfig, fusion_sigma
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centralized import ClusteringResult, Dataset, classify, run_centrex
+from .centralized import ClusteringResult, Dataset, classify, distortion, run_centrex
 from .statfn import KernelSpec
 
 __all__ = [
@@ -103,23 +103,15 @@ def kmeans_lloyd(data: Dataset, config: KMeansConfig, rng=None) -> ClusteringRes
     )
 
 
-def mean_distance_objective(points, result: ClusteringResult) -> float:
-    """Average point-to-assigned-centroid distance used for replicate selection."""
-    points = np.asarray(points, dtype=float)
-    return float(
-        np.mean(np.linalg.norm(points - result.centroids[result.assignments], axis=1))
-    )
-
-
 def kmeans_replicated(data: Dataset, config: KMeansConfig) -> ClusteringResult:
     """Run `replicates` independent seeded K-means and keep the solution with
-    the smallest mean point-to-centroid distance (ties by replicate index)."""
+    the smallest distortion (ties by replicate index)."""
     streams = np.random.SeedSequence(config.seed).spawn(config.replicates)
     best = None
     best_obj = np.inf
     for ss in streams:
         result = kmeans_lloyd(data, config, rng=np.random.default_rng(ss))
-        obj = mean_distance_objective(data.points, result)
+        obj = distortion(data.points, result.centroids, result.assignments)
         if obj < best_obj:
             best, best_obj = result, obj
     return best
@@ -135,7 +127,5 @@ def centrex_gaussian(
     """Centroid pipeline with the exponential kernel exp(-beta * u) evaluated
     on normalized squared distances; the fusion constant is recomputed for
     this kernel by quadrature inside the pipeline."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    kernel = KernelSpec("gaussian", data.d, beta=beta, sigma=1.0)
+    kernel = KernelSpec("gaussian", data.d, beta=beta)
     return run_centrex(data, gamma=gamma, epsilon=epsilon, kernel=kernel, seed=seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .statfn import KernelSpec, r_squared, threshold_mu, weight
-from .wald import Decision, WaldConfig, fusion_sigma, wald_decide
+from .wald import WaldConfig, fusion_sigma
 
 __all__ = [
     "Dataset",
@@ -24,6 +24,7 @@ __all__ = [
     "mark",
     "fuse",
     "classify",
+    "distortion",
     "run_centrex",
     "sigma_lim",
     "estimate_sigma_post",
@@ -129,8 +130,11 @@ def mark(points, centroid, marking_cfg: WaldConfig) -> np.ndarray:
     return np.flatnonzero(dist <= marking_cfg.threshold)
 
 
-def fuse(centroids, support_counts, r: float, gamma: float, d: int):
+def fuse(centroids, support_counts, r: float, wald_cfg: WaldConfig):
     """Merge centroid estimates that a pairwise norm test declares identical.
+
+    A pair is identical when its distance is at most wald_cfg.threshold times
+    the fusion_sigma of its two supports.
 
     Pairs (k1 < k2) are scanned in lexicographic order; a merge replaces k1 by
     the midpoint, removes k2, sums the two supports, and restarts the scan.
@@ -142,7 +146,7 @@ def fuse(centroids, support_counts, r: float, gamma: float, d: int):
         raise ValueError("centroid list must be nonempty")
     if any(c <= 0 for c in counts):
         raise ValueError("support counts must be positive")
-    mu = threshold_mu(d, gamma)
+    mu = wald_cfg.threshold
     merged = True
     while merged:
         merged = False
@@ -170,6 +174,14 @@ def classify(points, centroids) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
+def distortion(points_raw, centroids, assignments, squared: bool = False) -> float:
+    """Mean (optionally squared) distance to the assigned centroid, raw units."""
+    points_raw = np.asarray(points_raw, dtype=float)
+    centroids = np.asarray(centroids, dtype=float)
+    dists = np.linalg.norm(points_raw - centroids[np.asarray(assignments)], axis=1)
+    return float(np.mean(dists**2 if squared else dists))
+
+
 def run_centrex(
     data: Dataset,
     gamma: float = 1e-3,
@@ -177,7 +189,6 @@ def run_centrex(
     kernel: KernelSpec | None = None,
     seed: int | None = 0,
     max_iter: int = 100,
-    marking_sigma0: float = 1.0,
 ) -> ClusteringResult:
     """Full centralized pipeline on one dataset.
 
@@ -191,7 +202,7 @@ def run_centrex(
     if kernel is None:
         kernel = KernelSpec("wald", d)
     rng = np.random.default_rng(seed)
-    marking_cfg = WaldConfig(d=d, gamma=gamma, sigma0=marking_sigma0)
+    wald_cfg = WaldConfig(d=d, gamma=gamma)
 
     marked = np.zeros(n, dtype=bool)
     centroids = []
@@ -201,7 +212,7 @@ def run_centrex(
         candidates = np.flatnonzero(~marked)
         start = int(rng.choice(candidates))
         theta, iters, _ = fixed_point(pts, kernel, pts[start], epsilon, max_iter)
-        mk = mark(pts, theta, marking_cfg)
+        mk = mark(pts, theta, wald_cfg)
         marked[mk] = True
         marked[start] = True
         centroids.append(theta)
@@ -210,7 +221,7 @@ def run_centrex(
 
     counts = [len(s) for s in marked_sets]
     r = math.sqrt(r_squared(d, method="quadrature", kernel=kernel).value)
-    fused_cents, fused_counts = fuse(centroids, counts, r, gamma, d)
+    fused_cents, fused_counts = fuse(centroids, counts, r, wald_cfg)
     assignments = classify(pts, fused_cents)
     scale = 1.0 if data.normalized else data.sigma
     return ClusteringResult(

@@ -22,25 +22,6 @@ from .harness import ExperimentConfig, run_experiment
 from .statfn import r_squared
 
 
-def _load_config(path) -> ExperimentConfig:
-    config = ExperimentConfig.from_json(path)
-    env_seed = os.environ.get("CENTREX_SEED")
-    if env_seed is not None:
-        config.seed = int(env_seed)
-    return config
-
-
-def _run_single(args, forced_algorithms=None) -> int:
-    config = _load_config(args.config)
-    if forced_algorithms is not None:
-        config.algorithms = forced_algorithms
-    rows = run_experiment(config, out_dir=args.out)
-    if args.out is None:
-        json.dump(rows, sys.stdout, indent=2, default=float)
-        print()
-    return 0
-
-
 def _add_run_subcommand(subparsers, name, help_text):
     p = subparsers.add_parser(name, help=help_text)
     p.add_argument("action", choices=["run"])
@@ -78,24 +59,20 @@ def main(argv=None) -> int:
             )
             print(f"{result.value:.10g}")
             return 0
-        if args.command == "sweep":
-            config = _load_config(args.config)
-            run_experiment(config, out_dir=args.out)
-            return 0
-        if args.command == "centrex":
-            return _run_single(args, forced_algorithms=("centrex",))
-        if args.command == "decentrex":
-            return _run_single(args, forced_algorithms=("decentrex",))
-        if args.command == "kmeans":
-            config = _load_config(args.config)
+        config = ExperimentConfig.from_json(args.config)
+        env_seed = os.environ.get("CENTREX_SEED")
+        if env_seed is not None:
+            config.seed = int(env_seed)
+        if args.command in ("centrex", "decentrex"):
+            config.algorithms = (args.command,)
+        elif args.command == "kmeans":
             kmeans_algos = tuple(a for a in config.algorithms if a.startswith("kmeans"))
             config.algorithms = kmeans_algos or ("kmeans10", "kmeans100")
-            rows = run_experiment(config, out_dir=args.out)
-            if args.out is None:
-                json.dump(rows, sys.stdout, indent=2, default=float)
-                print()
-            return 0
-        return 2
+        rows = run_experiment(config, out_dir=args.out)
+        if args.out is None:
+            json.dump(rows, sys.stdout, indent=2, default=float)
+            print()
+        return 0
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

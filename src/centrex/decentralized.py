@@ -129,7 +129,8 @@ def slot_step(net: SensorNetwork, config: NetworkConfig, rng: np.random.Generato
     Every sensor pushes its accumulator snapshot to `fanout` distinct others
     and keeps only a fresh own contribution; receivers add incoming sums
     termwise.  All receptions are applied before any update check; sensors
-    whose counter reaches L then set estimate = P/Q and reset.
+    whose counter reaches L then set estimate = P/Q and reset.  A sensor whose
+    weights all underflowed (Q = 0) keeps its estimate and still resets.
 
     Returns (messages_sent, updated_mask).
     """
@@ -144,7 +145,8 @@ def slot_step(net: SensorNetwork, config: NetworkConfig, rng: np.random.Generato
         np.add.at(net.c, t, c_snap)
     updated = net.c >= config.L
     if updated.any():
-        net.estimate[updated] = net.P[updated] / net.Q[updated, None]
+        moved = updated & (net.Q > 0)
+        net.estimate[moved] = net.P[moved] / net.Q[moved, None]
         net.reset_accumulators(updated)
     return n * config.fanout, updated
 
@@ -154,7 +156,6 @@ def run_decentrex(
     config: NetworkConfig,
     gamma: float = 1e-3,
     kernel: KernelSpec | None = None,
-    marking_sigma0: float = 1.0,
     event_log_path=None,
 ):
     """Run the full decentralized protocol on one dataset.
@@ -171,7 +172,7 @@ def run_decentrex(
     if kernel is None:
         kernel = KernelSpec("wald", d)
     rng = np.random.default_rng(config.seed)
-    marking_cfg = WaldConfig(d=d, gamma=gamma, sigma0=marking_sigma0)
+    wald_cfg = WaldConfig(d=d, gamma=gamma)
     net = SensorNetwork(pts, kernel)
     log = RoundLog(updates_per_sensor=np.zeros(n, dtype=int))
     events = [] if event_log_path is not None else None
@@ -196,7 +197,7 @@ def run_decentrex(
         for s in range(n):
             net.phi[s].append(net.estimate[s].copy())
         dist = np.linalg.norm(net.y - net.estimate, axis=1)
-        net.marked |= dist <= marking_cfg.threshold
+        net.marked |= dist <= wald_cfg.threshold
         net.marked[chosen] = True
         log.rounds += 1
 
@@ -213,7 +214,7 @@ def run_decentrex(
     for s in range(n):
         phi = net.phi[s]
         counts = [n / len(phi)] * len(phi)
-        cents, fused_counts = fuse(phi, counts, r, gamma, d)
+        cents, fused_counts = fuse(phi, counts, r, wald_cfg)
         label = int(classify(pts[s : s + 1], cents)[0])
         results.append(
             ClusteringResult(

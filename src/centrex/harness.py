@@ -11,19 +11,18 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .baselines import KMeansConfig, centrex_gaussian, kmeans_replicated
-from .centralized import Dataset, run_centrex
+from .centralized import Dataset, distortion, run_centrex
 from .decentralized import NetworkConfig, run_decentrex
 
 __all__ = [
     "ExperimentConfig",
-    "Metrics",
     "generate_dataset",
     "classification_error",
     "distortion",
@@ -94,26 +93,12 @@ class ExperimentConfig:
         return cls(**raw)
 
 
-@dataclass
-class Metrics:
-    pe: float
-    distortion: float
-    k_hat: int
-    runtime: float = 0.0
-    messages: int = 0
-
-
 def generate_dataset(config: ExperimentConfig, trial_seed, sigma=None) -> Dataset:
     """Balanced synthetic dataset: n/k Gaussian draws around each centroid.
 
     Uses the first entry of config.sigmas unless sigma is given explicitly.
     """
-    if sigma is None:
-        sigma = float(config.sigmas[0])
-    return _generate(config, float(sigma), trial_seed)
-
-
-def _generate(config: ExperimentConfig, sigma: float, trial_seed) -> Dataset:
+    sigma = float(config.sigmas[0] if sigma is None else sigma)
     rng = np.random.default_rng(trial_seed)
     per = config.n // config.k
     labels = np.repeat(np.arange(config.k), per)
@@ -147,27 +132,35 @@ def classification_error(true_labels, assignments, k_true=None, k_hat=None) -> f
     return 1.0 - matched / true_labels.size
 
 
-def distortion(points_raw, centroids, assignments, squared: bool = False) -> float:
-    """Mean (optionally squared) distance to the assigned centroid, raw units."""
-    points_raw = np.asarray(points_raw, dtype=float)
-    centroids = np.asarray(centroids, dtype=float)
-    dists = np.linalg.norm(points_raw - centroids[np.asarray(assignments)], axis=1)
-    return float(np.mean(dists**2 if squared else dists))
+@dataclass(frozen=True)
+class _Cell:
+    """Outcome of one algorithm on one dataset, as the sweep rows need it."""
+
+    assignments: np.ndarray
+    k_hat: int
+    assigned: np.ndarray  # each point's assigned centroid, raw units
+    messages: int
 
 
-def _run_algorithm(name, config, data, seed_seq):
-    """Dispatch one algorithm on one dataset; returns (result-like, messages)."""
-    seed = seed_seq
+def _run_algorithm(name, config, data, seed) -> _Cell:
+    """Dispatch one algorithm on one dataset and pool its results.
+
+    A centralized algorithm returns one result covering every point.
+    DeCENTREx returns one per sensor, which labels only its own observation
+    against its own centroid list; round order is global, so labels are
+    comparable across sensors.  Either way the results cover the points in
+    order, and k_hat is their most common count.
+    """
+    messages = 0
     if name == "centrex":
-        return run_centrex(data, gamma=config.gamma, epsilon=config.epsilon, seed=seed), 0
-    if name == "centrex_gaussian":
-        return (
+        results = [run_centrex(data, gamma=config.gamma, epsilon=config.epsilon, seed=seed)]
+    elif name == "centrex_gaussian":
+        results = [
             centrex_gaussian(
                 data, gamma=config.gamma, epsilon=config.epsilon, beta=config.beta, seed=seed
-            ),
-            0,
-        )
-    if name == "decentrex":
+            )
+        ]
+    elif name == "decentrex":
         net_cfg = NetworkConfig(
             n_sensors=data.n,
             T=config.slots_t,
@@ -176,53 +169,28 @@ def _run_algorithm(name, config, data, seed_seq):
             seed=seed,
         )
         results, log = run_decentrex(data, net_cfg, gamma=config.gamma)
-        return _pool_sensor_results(results), log.messages_sent
-    if name == "kmeanspp":
+        messages = log.messages_sent
+    elif name == "kmeanspp":
         cfg = KMeansConfig(k=config.k, init="plusplus", replicates=1, seed=_as_int_seed(seed))
-        return kmeans_replicated(data, cfg), 0
-    if name.startswith("kmeans"):
+        results = [kmeans_replicated(data, cfg)]
+    elif name.startswith("kmeans"):
         replicates = int(name[len("kmeans") :] or "1")
         cfg = KMeansConfig(k=config.k, init="uniform", replicates=replicates, seed=_as_int_seed(seed))
-        return kmeans_replicated(data, cfg), 0
-    raise ValueError(f"unknown algorithm {name!r}")
+        results = [kmeans_replicated(data, cfg)]
+    else:
+        raise ValueError(f"unknown algorithm {name!r}")
+    return _Cell(
+        assignments=np.concatenate([r.assignments for r in results]),
+        k_hat=int(np.bincount([r.k_hat for r in results]).argmax()),
+        assigned=np.concatenate([r.centroids[r.assignments] for r in results]),
+        messages=messages,
+    )
 
 
 def _as_int_seed(seed_seq) -> int:
     if isinstance(seed_seq, (int, np.integer)):
         return int(seed_seq)
     return int(seed_seq.generate_state(1)[0])
-
-
-class _PooledResult:
-    """Network-wide view of per-sensor local results.
-
-    Each sensor labels only its own observation against its own centroid
-    list; round order is global so labels are comparable across sensors.
-    """
-
-    def __init__(self, sensor_results):
-        self.assignments = np.array([int(r.assignments[0]) for r in sensor_results])
-        k_hats = np.array([r.k_hat for r in sensor_results])
-        self.k_hat = int(np.bincount(k_hats).argmax())
-        ref = next(r for r in sensor_results if r.k_hat == self.k_hat)
-        self.centroids = ref.centroids
-        self.sensor_results = sensor_results
-
-
-def _pool_sensor_results(sensor_results) -> _PooledResult:
-    return _PooledResult(sensor_results)
-
-
-def _distortion_for(result, data, squared):
-    if isinstance(result, _PooledResult):
-        # Each observation measured against its own sensor's centroid list.
-        d = [
-            float(np.linalg.norm(data.points[i] - r.centroids[int(r.assignments[0])]))
-            for i, r in enumerate(result.sensor_results)
-        ]
-        d = np.asarray(d)
-        return float(np.mean(d**2 if squared else d))
-    return distortion(data.points, result.centroids, result.assignments, squared)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None):
@@ -236,26 +204,29 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     rows = []
     for s_idx, sigma in enumerate(config.sigmas):
         for trial in range(config.trials):
-            data = _generate(
-                config, float(sigma), np.random.SeedSequence([config.seed, s_idx, trial])
+            data = generate_dataset(
+                config, np.random.SeedSequence([config.seed, s_idx, trial]), sigma
             )
             for a_idx, name in enumerate(config.algorithms):
                 alg_seed = np.random.SeedSequence([config.seed, s_idx, trial, a_idx])
                 t0 = time.perf_counter()
-                result, messages = _run_algorithm(name, config, data, alg_seed)
+                cell = _run_algorithm(name, config, data, alg_seed)
                 elapsed = time.perf_counter() - t0 if config.record_runtime else 0.0
                 pe = classification_error(
-                    data.labels, result.assignments, k_true=config.k, k_hat=result.k_hat
+                    data.labels, cell.assignments, k_true=config.k, k_hat=cell.k_hat
+                )
+                dist = distortion(
+                    data.points, cell.assigned, np.arange(data.n), config.squared_distortion
                 )
                 rows.append(
                     {
                         "algorithm": name,
                         "sigma": float(sigma),
                         "trial": trial,
-                        "k_hat": result.k_hat,
+                        "k_hat": cell.k_hat,
                         "pe": pe,
-                        "distortion": _distortion_for(result, data, config.squared_distortion),
-                        "messages": messages,
+                        "distortion": dist,
+                        "messages": cell.messages,
                         "runtime_s": elapsed,
                     }
                 )

@@ -6,13 +6,13 @@ take an explicit seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import brentq
 from scipy.special import gammaincc
-from scipy.stats import chi2, poisson
+from scipy.stats import chi2
 
 __all__ = [
     "KernelSpec",
@@ -23,30 +23,27 @@ __all__ = [
     "r_squared",
 ]
 
-# Relative truncation of the Poisson mixture used for noncentral marcum_q.
-_MIXTURE_TAIL = 1e-14
-
 
 @dataclass(frozen=True)
 class KernelSpec:
     """Weight kernel used by the centroid M-estimation.
 
     kind is "wald" (p-value of the norm test, parameter-free) or "gaussian"
-    (exponential kernel with inverse-bandwidth beta and noise scale sigma).
+    (exponential kernel with inverse-bandwidth beta).  Both act on squared
+    distances between normalized points, whose noise scale is 1.
     """
 
     kind: str
     d: int
     beta: float = 1.0
-    sigma: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("wald", "gaussian"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.d < 1:
             raise ValueError("kernel dimension must be >= 1")
-        if self.kind == "gaussian" and (self.beta <= 0 or self.sigma <= 0):
-            raise ValueError("gaussian kernel needs beta > 0 and sigma > 0")
+        if self.kind == "gaussian" and self.beta <= 0:
+            raise ValueError("gaussian kernel needs beta > 0")
 
 
 @dataclass(frozen=True)
@@ -63,39 +60,19 @@ class RSquared:
             raise ValueError("r^2 cannot be below 1 (Jensen)")
 
 
-def marcum_q(a: float, tau: float, x: float) -> float:
-    """Survival function of the noncentral chi-square with 2a degrees of
-    freedom and noncentrality tau^2, evaluated at x^2.
-
-    For tau = 0 this is the regularized upper incomplete gamma
-    Gamma(a, x^2/2) / Gamma(a).
-    """
-    if not (np.isfinite(a) and np.isfinite(tau) and np.isfinite(x)):
+def marcum_q(a: float, x: float) -> float:
+    """Survival function of the chi-square with 2a degrees of freedom at x^2:
+    the regularized upper incomplete gamma Gamma(a, x^2/2) / Gamma(a)."""
+    if not (np.isfinite(a) and np.isfinite(x)):
         raise ValueError("marcum_q requires finite arguments")
-    if a <= 0 or tau < 0 or x < 0:
-        raise ValueError("marcum_q requires a > 0, tau >= 0, x >= 0")
-    y = 0.5 * x * x
-    if tau == 0.0:
-        return float(gammaincc(a, y))
-    # Poisson mixture of central chi-square survival functions.
-    lam = 0.5 * tau * tau
-    half_width = 10.0 * math.sqrt(lam) + 50.0
-    j_lo = max(0, int(lam - half_width))
-    j_hi = int(lam + half_width)
-    j = np.arange(j_lo, j_hi + 1)
-    pmf = poisson.pmf(j, lam)
-    total = float(np.sum(pmf * gammaincc(a + j, y)))
-    # Unaccounted Poisson mass is below _MIXTURE_TAIL by construction.
-    return min(1.0, total)
+    if a <= 0 or x < 0:
+        raise ValueError("marcum_q requires a > 0 and x >= 0")
+    return float(gammaincc(a, 0.5 * x * x))
 
 
 def threshold_mu(d: int, gamma: float) -> float:
-    """Normalized test threshold: the unique mu with marcum_q(d/2, 0, mu) = gamma."""
-    return solve_threshold(d, 0.0, gamma)
-
-
-def solve_threshold(d: int, tau: float, gamma: float) -> float:
-    """Invert x -> marcum_q(d/2, tau, x) at level gamma by bracketed root finding."""
+    """Normalized test threshold: the unique mu with marcum_q(d/2, mu) = gamma,
+    found by bracketed root finding."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if not 0.0 < gamma < 1.0:
@@ -103,23 +80,21 @@ def solve_threshold(d: int, tau: float, gamma: float) -> float:
     a = 0.5 * d
 
     def f(x):
-        return marcum_q(a, tau, x) - gamma
+        return marcum_q(a, x) - gamma
 
-    lo, hi = 0.0, max(1.0, tau + 1.0)
+    hi = 1.0
     while f(hi) > 0.0:
         hi *= 2.0
         if hi > 1e8:
             raise RuntimeError("failed to bracket threshold")
-    from scipy.optimize import brentq
-
-    return float(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
+    return float(brentq(f, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
 
 
 def weight(kernel: KernelSpec, u):
     """Evaluate the kernel at squared distance u.  Accepts scalars or arrays.
 
-    The p-value kernel is marcum_q(d/2, 0, sqrt(u/2)); the gaussian kernel is
-    exp(-beta * u / sigma^2).  Values lie in (0, 1] and decrease in u.
+    The p-value kernel is marcum_q(d/2, sqrt(u/2)); the gaussian kernel is
+    exp(-beta * u).  Values lie in (0, 1] and decrease in u.
     """
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0) or not np.all(np.isfinite(u_arr)):
@@ -127,7 +102,7 @@ def weight(kernel: KernelSpec, u):
     if kernel.kind == "wald":
         out = gammaincc(0.5 * kernel.d, 0.25 * u_arr)
     else:
-        out = np.exp(-kernel.beta * u_arr / (kernel.sigma**2))
+        out = np.exp(-kernel.beta * u_arr)
     if np.isscalar(u) or u_arr.ndim == 0:
         return float(out)
     return out

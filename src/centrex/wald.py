@@ -1,69 +1,29 @@
-"""Threshold tests and p-values on the norm of Gaussian mean vectors."""
+"""The zero-mean norm test the pipelines run, and the scale of its fusion form."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
-import numpy as np
+from .statfn import threshold_mu
 
-from .statfn import marcum_q, solve_threshold
-
-__all__ = ["Decision", "WaldConfig", "wald_decide", "p_value", "fusion_sigma"]
-
-
-class Decision(Enum):
-    ACCEPT_H0 = 0
-    REJECT_H0 = 1
+__all__ = ["WaldConfig", "fusion_sigma"]
 
 
 @dataclass(frozen=True)
 class WaldConfig:
-    """Test of zero mean for a N(xi, sigma0^2 I_d) observation at level gamma.
+    """Test of zero mean for a N(xi, I_d) observation at level gamma.
 
-    The rejection threshold on the norm is sigma0 * mu where mu solves
-    marcum_q(d/2, tau/sigma0, mu) = gamma; it is cached at construction.
+    The zero-mean hypothesis is accepted iff the norm is at most threshold,
+    the mu with marcum_q(d/2, mu) = gamma; it is solved once, at construction.
     """
 
     d: int
     gamma: float
-    tau: float = 0.0
-    sigma0: float = 1.0
     threshold: float = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if self.sigma0 <= 0 or self.tau < 0:
-            raise ValueError("sigma0 must be positive and tau nonnegative")
-        mu = solve_threshold(self.d, self.tau / self.sigma0, self.gamma)
-        object.__setattr__(self, "threshold", self.sigma0 * mu)
-
-
-def wald_decide(cfg: WaldConfig, z) -> Decision:
-    """Accept the zero-mean hypothesis iff ||z|| <= cfg.threshold.
-
-    The boundary accepts; ties are never randomized.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (cfg.d,):
-        raise ValueError(f"expected vector of length {cfg.d}, got shape {z.shape}")
-    if np.linalg.norm(z) <= cfg.threshold:
-        return Decision.ACCEPT_H0
-    return Decision.REJECT_H0
-
-
-def p_value(d: int, sigma0: float, tau: float, z) -> float:
-    """Plausibility of the zero-mean hypothesis: marcum_q(d/2, tau/sigma0, ||z||/sigma0)."""
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
-    z = np.asarray(z, dtype=float)
-    if z.shape != (d,):
-        raise ValueError(f"expected vector of length {d}, got shape {z.shape}")
-    return marcum_q(0.5 * d, tau / sigma0, float(np.linalg.norm(z)) / sigma0)
+        object.__setattr__(self, "threshold", threshold_mu(self.d, self.gamma))
 
 
 def fusion_sigma(r: float, n_k: int, n_l: int) -> float:

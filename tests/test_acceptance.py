@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from centrex.centralized import fixed_point, h_map, sigma_lim
+from centrex.centralized import fixed_point, h_map, mark, sigma_lim
 from centrex.decentralized import NetworkConfig, SensorNetwork, init_round, slot_step
 from centrex.harness import ExperimentConfig, classification_error, run_experiment
 from centrex.statfn import KernelSpec, marcum_q, r_squared, threshold_mu
-from centrex.wald import WaldConfig, wald_decide
+from centrex.wald import WaldConfig
 
 from oracles import brute_force_matching_error
 
@@ -118,7 +118,7 @@ def paired_decentralized():
 def test_criterion_1_special_functions():
     t0 = time.perf_counter()
     x = np.linspace(0.0, 10.0, 1000)
-    err = max(abs(marcum_q(1.0, 0.0, xi) - math.exp(-(xi**2) / 2)) for xi in x)
+    err = max(abs(marcum_q(1.0, xi) - math.exp(-(xi**2) / 2)) for xi in x)
     mu = threshold_mu(2, 1e-3)
     elapsed = time.perf_counter() - t0
     ok = err <= 1e-10 and abs(mu - 3.71692) <= 1e-4 and elapsed < 1.0
@@ -247,7 +247,7 @@ def test_criterion_7_property_spotchecks():
     # Test level under the null: rejection rate near gamma.
     cfg = WaldConfig(d=2, gamma=1e-2)
     z = np.random.default_rng(1).standard_normal((20_000, 2))
-    rejects = sum(wald_decide(cfg, zi).name == "REJECT_H0" for zi in z)
+    rejects = 20_000 - mark(z, np.zeros(2), cfg).size
     se = math.sqrt(20_000 * 1e-2 * (1 - 1e-2))
     checks.append(abs(rejects - 200) <= 5 * se)
 

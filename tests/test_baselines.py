@@ -7,9 +7,8 @@ from centrex.baselines import (
     kmeans_lloyd,
     kmeans_replicated,
     kmeanspp_seed,
-    mean_distance_objective,
 )
-from centrex.centralized import Dataset, classify, h_map
+from centrex.centralized import Dataset, classify, distortion, h_map
 from centrex.harness import classification_error
 from centrex.statfn import KernelSpec
 
@@ -100,10 +99,10 @@ class TestKMeansReplicated:
         data, _ = _four_cluster_data(4)
         cfg = KMeansConfig(k=4, replicates=10, seed=2)
         best = kmeans_replicated(data, cfg)
-        best_obj = mean_distance_objective(data.points, best)
+        best_obj = distortion(data.points, best.centroids, best.assignments)
         for ss in np.random.SeedSequence(2).spawn(10):
             res = kmeans_lloyd(data, cfg, rng=np.random.default_rng(ss))
-            assert best_obj <= mean_distance_objective(data.points, res) + 1e-12
+            assert best_obj <= distortion(data.points, res.centroids, res.assignments) + 1e-12
 
     def test_more_replicates_no_worse(self):
         pes10, pes100 = [], []
@@ -120,7 +119,7 @@ class TestCentrexGaussian:
     def test_small_beta_weights_flatten(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(40, 2)) * 5
-        kernel = KernelSpec("gaussian", 2, beta=1e-9, sigma=1.0)
+        kernel = KernelSpec("gaussian", 2, beta=1e-9)
         out = h_map(pts, kernel, np.array([100.0, -50.0]))
         assert np.allclose(out, pts.mean(axis=0), atol=1e-5)
 

@@ -11,7 +11,7 @@ from centrex.decentralized import (
     run_decentrex,
     slot_step,
 )
-from centrex.harness import classification_error
+from centrex.harness import ExperimentConfig, classification_error, run_experiment
 from centrex.statfn import KernelSpec
 
 KERNEL2 = KernelSpec("wald", 2)
@@ -182,6 +182,22 @@ class TestRunDecentrex:
         assert lines
         rec = json.loads(lines[0])
         assert set(rec) == {"round", "slot", "sensor", "c", "estimate"}
+
+    def test_underflowed_weights_keep_the_estimate(self):
+        # In d = 100 the kernel of a far cluster underflows to 0, so a sensor
+        # can aggregate only zero weights (Q = 0); it must keep its estimate
+        # instead of taking P/Q = 0/0.
+        config = ExperimentConfig(
+            scenario="dim100k10",
+            n=100,
+            sigmas=(1.0,),
+            algorithms=("decentrex",),
+            slots_t=100,
+            update_l=10,
+        )
+        (row,) = run_experiment(config)
+        assert row["k_hat"] == 10
+        assert row["pe"] == 0.0
 
 
 class TestConsensusDiagnostics:
