@@ -76,13 +76,19 @@ class Dataset:
 
 @dataclass
 class ClusteringResult:
-    """Estimated centroids (raw units), per-point assignments and supports."""
+    """Estimated centroids (raw units), per-point assignments and supports.
+
+    run_centrex fills the per-centroid lists in the order the centroids were
+    estimated, before fusion; converged_per_centroid is False where the
+    estimate stopped at the iteration cap rather than at a fixed point.
+    """
 
     centroids: np.ndarray
     assignments: np.ndarray
     support_counts: np.ndarray
     k_hat: int
     iterations_per_centroid: list = field(default_factory=list)
+    converged_per_centroid: list = field(default_factory=list)
 
 
 def h_map(points: np.ndarray, kernel: KernelSpec, x) -> np.ndarray:
@@ -208,16 +214,18 @@ def run_centrex(
     centroids = []
     marked_sets = []
     iters_per = []
+    converged_per = []
     while not marked.all():
         candidates = np.flatnonzero(~marked)
         start = int(rng.choice(candidates))
-        theta, iters, _ = fixed_point(pts, kernel, pts[start], epsilon, max_iter)
+        theta, iters, converged = fixed_point(pts, kernel, pts[start], epsilon, max_iter)
         mk = mark(pts, theta, wald_cfg)
         marked[mk] = True
         marked[start] = True
         centroids.append(theta)
         marked_sets.append(set(mk.tolist()) | {start})
         iters_per.append(iters)
+        converged_per.append(converged)
 
     counts = [len(s) for s in marked_sets]
     r = math.sqrt(r_squared(d, method="quadrature", kernel=kernel).value)
@@ -230,6 +238,7 @@ def run_centrex(
         support_counts=np.rint(fused_counts).astype(int),
         k_hat=len(fused_cents),
         iterations_per_centroid=iters_per,
+        converged_per_centroid=converged_per,
     )
 
 

@@ -54,6 +54,11 @@ class SensorNetwork:
     Per sensor: observation y, current estimate, accumulator (P, Q, c) where c
     counts the own-observation contributions aggregated in (P, Q), marked flag,
     and the list of centroids estimated so far.
+
+    The own contribution (own_P, own_Q) = (w * y, w), w = kernel(||y - estimate||^2),
+    is kept as long as the estimate does not move.  Only init_round and
+    slot_step may write estimate, and each refreshes own_P/own_Q for the
+    sensors it moved; any other writer would leave them stale.
     """
 
     def __init__(self, points: np.ndarray, kernel: KernelSpec):
@@ -64,6 +69,8 @@ class SensorNetwork:
         self.P = np.zeros_like(self.y)
         self.Q = np.zeros(self.n)
         self.c = np.zeros(self.n, dtype=int)
+        self.own_P = np.zeros_like(self.y)
+        self.own_Q = np.zeros(self.n)
         self.marked = np.zeros(self.n, dtype=bool)
         self.phi = [[] for _ in range(self.n)]
 
@@ -75,12 +82,17 @@ class SensorNetwork:
         w = np.atleast_1d(weight(self.kernel, np.sum(diff * diff, axis=1)))
         return w[:, None] * self.y[idx], w
 
-    def reset_accumulators(self, idx=None):
-        P, Q = self.fresh_contribution(idx)
+    def refresh_own(self, idx=None):
+        """Re-evaluate the own contribution of sensors whose estimate moved."""
         if idx is None:
             idx = slice(None)
-        self.P[idx] = P
-        self.Q[idx] = Q
+        self.own_P[idx], self.own_Q[idx] = self.fresh_contribution(idx)
+
+    def reset_accumulators(self, idx=None):
+        if idx is None:
+            idx = slice(None)
+        self.P[idx] = self.own_P[idx]
+        self.Q[idx] = self.own_Q[idx]
         self.c[idx] = 1
 
 
@@ -105,6 +117,7 @@ def init_round(net: SensorNetwork, rng: np.random.Generator) -> int:
         raise RuntimeError("cannot start a round: all sensors are marked")
     chosen = int(rng.choice(unmarked))
     net.estimate[:] = net.y[chosen]
+    net.refresh_own()
     net.reset_accumulators()
     return chosen
 
@@ -147,6 +160,7 @@ def slot_step(net: SensorNetwork, config: NetworkConfig, rng: np.random.Generato
     if updated.any():
         moved = updated & (net.Q > 0)
         net.estimate[moved] = net.P[moved] / net.Q[moved, None]
+        net.refresh_own(moved)
         net.reset_accumulators(updated)
     return n * config.fanout, updated
 

@@ -1,11 +1,15 @@
 """Special functions, kernels, and statistical constants.
 
 Everything here is a pure function of its arguments; Monte-Carlo variants
-take an explicit seed.
+take an explicit seed.  The two constants that cost a root solve or a
+quadrature, threshold_mu and r_squared, are therefore memoized by value: each
+is computed on its first call with given arguments and reused for the rest of
+the process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +74,7 @@ def marcum_q(a: float, x: float) -> float:
     return float(gammaincc(a, 0.5 * x * x))
 
 
+@functools.lru_cache(maxsize=None)
 def threshold_mu(d: int, gamma: float) -> float:
     """Normalized test threshold: the unique mu with marcum_q(d/2, mu) = gamma,
     found by bracketed root finding."""
@@ -108,6 +113,7 @@ def weight(kernel: KernelSpec, u):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def r_squared(
     d: int,
     method: str = "quadrature",

@@ -15,6 +15,7 @@ from centrex.centralized import (
     run_centrex,
     sigma_lim,
 )
+from centrex.harness import ExperimentConfig, generate_dataset
 from centrex.statfn import KernelSpec, r_squared, threshold_mu, weight
 from centrex.wald import WaldConfig
 
@@ -229,6 +230,21 @@ class TestRunCentrex:
         b = run_centrex(data, seed=3)
         assert np.array_equal(a.assignments, b.assignments)
         assert np.array_equal(a.centroids, b.centroids)
+
+    def _dim100k10(self):
+        config = ExperimentConfig(scenario="dim100k10", n=100)
+        return generate_dataset(config, np.random.SeedSequence([0, 0, 0]), 1.0)
+
+    def test_iteration_cap_is_reported(self):
+        res = run_centrex(self._dim100k10(), seed=0, max_iter=1)
+        assert len(res.converged_per_centroid) == len(res.iterations_per_centroid)
+        assert False in res.converged_per_centroid
+
+    def test_default_run_converges_everywhere(self):
+        res = run_centrex(self._dim100k10(), seed=0)
+        assert res.converged_per_centroid
+        assert len(res.converged_per_centroid) == len(res.iterations_per_centroid)
+        assert all(res.converged_per_centroid)
 
 
 class TestFixedPointUniqueness:

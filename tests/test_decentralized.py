@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from centrex import decentralized
 from centrex.centralized import Dataset, h_map
 from centrex.decentralized import (
     NetworkConfig,
@@ -11,7 +12,7 @@ from centrex.decentralized import (
     run_decentrex,
     slot_step,
 )
-from centrex.harness import ExperimentConfig, classification_error, run_experiment
+from centrex.harness import ExperimentConfig, classification_error, generate_dataset, run_experiment
 from centrex.statfn import KernelSpec
 
 KERNEL2 = KernelSpec("wald", 2)
@@ -198,6 +199,49 @@ class TestRunDecentrex:
         (row,) = run_experiment(config)
         assert row["k_hat"] == 10
         assert row["pe"] == 0.0
+
+
+class TestOwnContribution:
+    """The kept own contribution must equal a fresh kernel evaluation at the
+    current estimate, bit for bit, after every slot of a full run."""
+
+    def _checked_run(self, monkeypatch, data, config):
+        stats = {"updates": 0, "kept": 0}
+
+        def checked_slot_step(net, cfg, rng):
+            before = net.estimate.copy()
+            sent, updated = slot_step(net, cfg, rng)
+            P, Q = net.fresh_contribution()
+            assert np.array_equal(net.own_P, P)
+            assert np.array_equal(net.own_Q, Q)
+            stats["updates"] += int(updated.sum())
+            stats["kept"] += int(np.sum(updated & np.all(net.estimate == before, axis=1)))
+            return sent, updated
+
+        monkeypatch.setattr(decentralized, "slot_step", checked_slot_step)
+        run_decentrex(data, config)
+        return stats
+
+    def _four_clusters(self, n):
+        rng = np.random.default_rng(11)
+        centers = np.array([[10, 20], [20, 10], [10, 10], [20, 20]], dtype=float)
+        pts = centers[np.arange(n) % 4] + rng.standard_normal((n, 2))
+        return Dataset(points=pts, sigma=1.0)
+
+    @pytest.mark.parametrize("fanout", [1, 3])
+    def test_matches_fresh_evaluation(self, monkeypatch, fanout):
+        cfg = NetworkConfig(n_sensors=80, T=20, L=4, fanout=fanout, seed=fanout)
+        stats = self._checked_run(monkeypatch, self._four_clusters(80), cfg)
+        assert stats["updates"] > 0
+
+    def test_matches_fresh_evaluation_when_weights_underflow(self, monkeypatch):
+        # The scenario of test_underflowed_weights_keep_the_estimate: some
+        # updates aggregate only zero weights and keep the estimate.
+        config = ExperimentConfig(scenario="dim100k10", n=100, sigmas=(1.0,))
+        data = generate_dataset(config, np.random.SeedSequence([0, 0, 0]))
+        cfg = NetworkConfig(n_sensors=100, T=100, L=10, seed=np.random.SeedSequence([0, 0, 0, 0]))
+        stats = self._checked_run(monkeypatch, data, cfg)
+        assert stats["kept"] > 0
 
 
 class TestConsensusDiagnostics:

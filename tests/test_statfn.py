@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import centrex
 from centrex.statfn import KernelSpec, RSquared, marcum_q, r_squared, threshold_mu, weight
 
 from oracles import chi2_survival
@@ -103,8 +108,9 @@ class TestRSquared:
         assert r_squared(d).value >= 1.0
 
     def test_montecarlo_seed_determinism(self):
+        # r_squared is memoized, so the second value is computed uncached.
         a = r_squared(3, method="montecarlo", seed=7).value
-        b = r_squared(3, method="montecarlo", seed=7).value
+        b = r_squared.__wrapped__(3, method="montecarlo", seed=7).value
         assert a == b
 
     def test_gaussian_kernel_closed_form(self):
@@ -173,3 +179,27 @@ class TestGaussianMomentIdentities:
                     assert abs(M[i, i] - scalar) <= 5 * (se[i, i] + scalar_se)
                 else:
                     assert abs(M[i, j]) <= 5 * se[i, j]
+
+
+class TestMemoizedConstants:
+    def test_r_squared_returns_one_object_per_arguments(self):
+        kernel = KernelSpec("gaussian", 3, beta=0.5)
+        first = r_squared(3, kernel=kernel)
+        assert r_squared(3, kernel=KernelSpec("gaussian", 3, beta=0.5)) is first
+        assert r_squared.__wrapped__(3, kernel=kernel) == first
+
+    def test_threshold_mu_returns_one_float_per_arguments(self):
+        first = threshold_mu(7, 1e-4)
+        assert threshold_mu(7, 1e-4) is first
+        assert threshold_mu.__wrapped__(7, 1e-4) == first
+
+    def test_nothing_is_computed_at_import(self):
+        code = (
+            "import centrex, centrex.cli\n"
+            "from centrex.statfn import r_squared, threshold_mu\n"
+            "print(r_squared.cache_info().currsize, threshold_mu.cache_info().currsize)"
+        )
+        src = str(Path(centrex.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0", "0"]
