@@ -18,6 +18,10 @@ __all__ = [
     "centrex_gaussian",
 ]
 
+# Bytes allowed for the (chunk, N, K, d) float distance temporary of one
+# batched Lloyd step: 40 replicates of dim2k4 at N = 400, one of dim100k10.
+BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class KMeansConfig:
@@ -54,67 +58,109 @@ def kmeanspp_seed(points, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(seeds)
 
 
-def _lloyd(points, centroids, max_iter):
-    """Alternate assignment/update until assignments stabilize.
+def _seeds(points, config: KMeansConfig, rng: np.random.Generator) -> np.ndarray:
+    """One replicate's K starting centroids."""
+    if config.init == "plusplus":
+        return kmeanspp_seed(points, config.k, rng)
+    return points[rng.choice(points.shape[0], size=config.k, replace=False)]
 
-    Empty clusters are re-seeded from the point farthest from its centroid.
+
+def _reseed(points, centroids, assign):
+    """Update one replicate that has an empty cluster, cluster by cluster and
+    in place: an empty cluster takes the point farthest from its centroid."""
+    dists = np.linalg.norm(points - centroids[assign], axis=1)
+    for j in range(centroids.shape[0]):
+        members = assign == j
+        if not members.any():
+            far = int(np.argmax(dists))
+            centroids[j] = points[far]
+            assign[far] = j
+            dists[far] = 0.0
+        else:
+            centroids[j] = points[members].mean(axis=0)
+
+
+def _batched_lloyd(points, centroids, max_iter):
+    """Alternate assignment/update from each of R seed sets, given as
+    centroids (R, K, d) and updated in place, until that replicate's
+    assignments stabilize.
+
+    Replicates run in chunks whose (chunk, N, K, d) distance temporary fits in
+    BUDGET bytes, and leave their chunk once converged.  Returns assignments
+    (R, N) and iteration counts (R,).
     """
-    points = np.asarray(points, dtype=float)
-    centroids = np.asarray(centroids, dtype=float).copy()
-    k = centroids.shape[0]
-    prev = None
-    for it in range(1, max_iter + 1):
-        assign = classify(points, centroids)
-        dists = np.linalg.norm(points - centroids[assign], axis=1)
-        for j in range(k):
-            members = assign == j
-            if not members.any():
-                far = int(np.argmax(dists))
-                centroids[j] = points[far]
-                assign[far] = j
-                dists[far] = 0.0
-            else:
-                centroids[j] = points[members].mean(axis=0)
-        if prev is not None and np.array_equal(assign, prev):
-            return centroids, assign, it
-        prev = assign
-    return centroids, prev, max_iter
+    reps, k, d = centroids.shape
+    n = points.shape[0]
+    assignments = np.empty((reps, n), dtype=np.intp)
+    iterations = np.full(reps, max_iter)
+    chunk = max(1, BUDGET // (8 * n * k * d))
+    for start in range(0, reps, chunk):
+        active = np.arange(start, min(start + chunk, reps))
+        prev = None
+        for it in range(1, max_iter + 1):
+            assign = classify(points, centroids[active])
+            slot = assign + k * np.arange(len(active))[:, None]
+            counts = np.bincount(slot.ravel(), minlength=len(active) * k).reshape(-1, k)
+            # One flat add.at sums each cluster's coordinates in point order,
+            # exactly as the axis-0 sum inside points[members].mean(axis=0).
+            sums = np.zeros(len(active) * k * d)
+            np.add.at(
+                sums,
+                (slot[:, :, None] * d + np.arange(d)).ravel(),
+                np.broadcast_to(points, (len(active), n, d)).ravel(),
+            )
+            full = counts.all(axis=1)
+            centroids[active[full]] = sums.reshape(-1, k, d)[full] / counts[full, :, None]
+            for i in np.flatnonzero(~full):
+                _reseed(points, centroids[active[i]], assign[i])
+            if prev is not None:
+                done = (assign == prev).all(axis=1)
+                assignments[active[done]] = assign[done]
+                iterations[active[done]] = it
+                active, assign = active[~done], assign[~done]
+            prev = assign
+            if not len(active):
+                break
+        assignments[active] = prev
+    return assignments, iterations
+
+
+def _best_of(data: Dataset, config: KMeansConfig, rngs) -> ClusteringResult:
+    """Lloyd from one seed set per generator; keeps the smallest distortion,
+    the first replicate winning ties."""
+    points = data.points
+    if config.k > points.shape[0]:
+        raise ValueError("k cannot exceed the number of points")
+    centroids = np.stack([_seeds(points, config, rng) for rng in rngs])
+    assignments, iterations = _batched_lloyd(points, centroids, config.max_iter)
+    best = int(np.argmin([distortion(points, c, a) for c, a in zip(centroids, assignments)]))
+    assign = assignments[best].copy()
+    return ClusteringResult(
+        centroids=centroids[best].copy(),
+        assignments=assign,
+        support_counts=np.bincount(assign, minlength=config.k),
+        k_hat=config.k,
+        iterations_per_centroid=[int(iterations[best])],
+    )
 
 
 def kmeans_lloyd(data: Dataset, config: KMeansConfig, rng=None) -> ClusteringResult:
     """One seeded K-means run on the raw points."""
-    points = data.points
-    if config.k > points.shape[0]:
-        raise ValueError("k cannot exceed the number of points")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    if config.init == "plusplus":
-        seeds = kmeanspp_seed(points, config.k, rng)
-    else:
-        seeds = points[rng.choice(points.shape[0], size=config.k, replace=False)]
-    centroids, assign, iters = _lloyd(points, seeds, config.max_iter)
-    counts = np.bincount(assign, minlength=config.k)
-    return ClusteringResult(
-        centroids=centroids,
-        assignments=assign,
-        support_counts=counts,
-        k_hat=config.k,
-        iterations_per_centroid=[iters],
-    )
+    return _best_of(data, config, [rng])
 
 
 def kmeans_replicated(data: Dataset, config: KMeansConfig) -> ClusteringResult:
     """Run `replicates` independent seeded K-means and keep the solution with
-    the smallest distortion (ties by replicate index)."""
+    the smallest distortion (ties by replicate index).
+
+    Each replicate seeds from its own spawned stream; the replicates then
+    iterate together in batches (see BUDGET), with the same results as one
+    kmeans_lloyd run per stream.
+    """
     streams = np.random.SeedSequence(config.seed).spawn(config.replicates)
-    best = None
-    best_obj = np.inf
-    for ss in streams:
-        result = kmeans_lloyd(data, config, rng=np.random.default_rng(ss))
-        obj = distortion(data.points, result.centroids, result.assignments)
-        if obj < best_obj:
-            best, best_obj = result, obj
-    return best
+    return _best_of(data, config, [np.random.default_rng(ss) for ss in streams])
 
 
 def centrex_gaussian(

@@ -171,13 +171,17 @@ def fuse(centroids, support_counts, r: float, wald_cfg: WaldConfig):
 
 
 def classify(points, centroids) -> np.ndarray:
-    """Nearest-centroid assignment; ties go to the lowest centroid index."""
+    """Nearest-centroid assignment; ties go to the lowest centroid index.
+
+    Centroids are (K, d), or (R, K, d) for R centroid sets at once; row r of
+    the (R, N) result is then classify(points, centroids[r]), bit for bit.
+    """
     points = np.asarray(points, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
-    if centroids.ndim != 2 or centroids.shape[0] == 0:
+    if centroids.ndim not in (2, 3) or centroids.shape[-2] == 0:
         raise ValueError("centroid list must be nonempty")
-    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1)
+    d2 = np.sum((points[:, None, :] - centroids[..., None, :, :]) ** 2, axis=-1)
+    return np.argmin(d2, axis=-1)
 
 
 def distortion(points_raw, centroids, assignments, squared: bool = False) -> float:

@@ -84,3 +84,46 @@ def brute_force_matching_error(true_labels, assignments, k_true, k_hat):
         for rows in itertools.permutations(range(k_true), m):
             best = max(best, sum(contingency[r, j] for j, r in enumerate(rows)))
     return 1.0 - best / len(true_labels)
+
+
+def lloyd(points, centroids, max_iter):
+    """One K-means replicate on its own, with its own nearest-centroid step.
+
+    Alternate assignment/update until assignments stabilize; empty clusters
+    are re-seeded from the point farthest from its centroid.  Returns
+    (centroids, assignments, iterations).
+    """
+    points = np.asarray(points, dtype=float)
+    centroids = np.asarray(centroids, dtype=float).copy()
+    k = centroids.shape[0]
+    prev = None
+    for it in range(1, max_iter + 1):
+        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        assign = np.argmin(d2, axis=1)
+        dists = np.linalg.norm(points - centroids[assign], axis=1)
+        for j in range(k):
+            members = assign == j
+            if not members.any():
+                far = int(np.argmax(dists))
+                centroids[j] = points[far]
+                assign[far] = j
+                dists[far] = 0.0
+            else:
+                centroids[j] = points[members].mean(axis=0)
+        if prev is not None and np.array_equal(assign, prev):
+            return centroids, assign, it
+        prev = assign
+    return centroids, prev, max_iter
+
+
+def lloyd_replicated(points, seed_sets, max_iter):
+    """Run lloyd from each seed set in turn and keep the replicate with the
+    smallest mean distance, the first winning ties."""
+    best, best_obj = None, np.inf
+    for seeds in seed_sets:
+        run = lloyd(points, seeds, max_iter)
+        cents, assign, _ = run
+        obj = float(np.mean(np.linalg.norm(points - cents[assign], axis=1)))
+        if obj < best_obj:
+            best, best_obj = run, obj
+    return best

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import lloyd, lloyd_replicated
 
+from centrex import baselines
 from centrex.baselines import (
+    BUDGET,
     KMeansConfig,
     centrex_gaussian,
     kmeans_lloyd,
@@ -9,7 +14,7 @@ from centrex.baselines import (
     kmeanspp_seed,
 )
 from centrex.centralized import Dataset, classify, distortion, h_map
-from centrex.harness import classification_error
+from centrex.harness import ExperimentConfig, classification_error, generate_dataset
 from centrex.statfn import KernelSpec
 
 
@@ -113,6 +118,128 @@ class TestKMeansReplicated:
             pes10.append(classification_error(labels, r10.assignments, 4, 4))
             pes100.append(classification_error(labels, r100.assignments, 4, 4))
         assert np.mean(pes100) <= np.mean(pes10)
+
+
+def _draw_seeds(points, config, rng):
+    if config.init == "plusplus":
+        return kmeanspp_seed(points, config.k, rng)
+    return points[rng.choice(len(points), size=config.k, replace=False)]
+
+
+def _seed_sets(points, config):
+    """Each replicate's starting centroids, drawn from its own spawned stream."""
+    streams = np.random.SeedSequence(config.seed).spawn(config.replicates)
+    return [_draw_seeds(points, config, np.random.default_rng(ss)) for ss in streams]
+
+
+def _assert_bit_identical(result, centroids, assignments, iterations):
+    assert result.centroids.tobytes() == np.asarray(centroids, dtype=float).tobytes()
+    assert np.array_equal(result.assignments, assignments)
+    assert result.iterations_per_centroid == [iterations]
+
+
+def _scenario_data(scenario, sigma, trial):
+    n = 100 if scenario == "dim100k10" else 400
+    return generate_dataset(ExperimentConfig(scenario=scenario, n=n, sigmas=(sigma,)), trial)
+
+
+def _duplicate_points():
+    """Five distinct points, each repeated, so seeds coincide and clusters empty."""
+    rng = np.random.default_rng(11)
+    distinct = rng.normal(size=(5, 2)) * 3.0
+    return Dataset(points=distinct[rng.integers(5, size=60)], sigma=1.0)
+
+
+class TestBatchedLloydMatchesOracle:
+    """The batched replicates give, bit for bit, what one replicate at a time
+    gives: centroids, assignments, iteration count and chosen replicate."""
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 300])
+    @pytest.mark.parametrize("replicates", [1, 7, 100])
+    @pytest.mark.parametrize("init", ["uniform", "plusplus"])
+    @pytest.mark.parametrize(
+        "scenario, sigma", [("dim2k4", 1.0), ("dim2k4", 2.5), ("dim100k10", 1.0)]
+    )
+    def test_replicated(self, scenario, sigma, init, replicates, max_iter):
+        data = _scenario_data(scenario, sigma, trial=replicates + max_iter)
+        cfg = KMeansConfig(k=4 if scenario == "dim2k4" else 10, init=init,
+                           replicates=replicates, max_iter=max_iter, seed=replicates)
+        cents, assign, iters = lloyd_replicated(data.points, _seed_sets(data.points, cfg), max_iter)
+        _assert_bit_identical(kmeans_replicated(data, cfg), cents, assign, iters)
+
+    @pytest.mark.parametrize("init", ["uniform", "plusplus"])
+    @pytest.mark.parametrize("scenario", ["dim2k4", "dim100k10"])
+    def test_single_run(self, scenario, init):
+        data = _scenario_data(scenario, 2.5, trial=3)
+        cfg = KMeansConfig(k=4 if scenario == "dim2k4" else 10, init=init)
+        for seed in range(5):
+            seeds = _draw_seeds(data.points, cfg, np.random.default_rng(seed))
+            got = kmeans_lloyd(data, cfg, rng=np.random.default_rng(seed))
+            _assert_bit_identical(got, *lloyd(data.points, seeds, cfg.max_iter))
+
+    def test_ties_go_to_the_first_replicate(self):
+        data = _scenario_data("dim2k4", 1.0, trial=0)
+        cfg = KMeansConfig(k=4, replicates=100, seed=0)
+        runs = [lloyd(data.points, s, cfg.max_iter) for s in _seed_sets(data.points, cfg)]
+        objs = [distortion(data.points, c, a) for c, a, _ in runs]
+        tied = [r for r, obj in enumerate(objs) if obj == min(objs)]
+        # Label-permuted copies of the best partition tie in distortion.
+        assert tied[0] > 0 and not np.array_equal(runs[tied[0]][1], runs[tied[-1]][1])
+        _assert_bit_identical(kmeans_replicated(data, cfg), *runs[tied[0]])
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 300])
+    @pytest.mark.parametrize("replicates", [1, 7, 100])
+    @pytest.mark.parametrize("init", ["uniform", "plusplus"])
+    def test_empty_cluster_reseed(self, monkeypatch, init, replicates, max_iter):
+        reseed, reseeds = baselines._reseed, []
+
+        def counted(*args):
+            reseeds.append(1)
+            return reseed(*args)
+
+        monkeypatch.setattr(baselines, "_reseed", counted)
+        data = _duplicate_points()
+        for k in (4, 5):
+            cfg = KMeansConfig(k=k, init=init, replicates=replicates, max_iter=max_iter, seed=k)
+            cents, assign, iters = lloyd_replicated(data.points, _seed_sets(data.points, cfg), max_iter)
+            _assert_bit_identical(kmeans_replicated(data, cfg), cents, assign, iters)
+        if init == "uniform":
+            assert reseeds
+
+    def test_one_dimensional_points_round_within_float64_bound(self):
+        # At d = 1 the mean over a contiguous column sums pairwise, the batch
+        # sums in point order: centroids may differ in the last bits, so they
+        # are held to the float64 bound of an n-term sum, n eps max|x|.
+        rng = np.random.default_rng(4)
+        pts = np.repeat([0.0, 10.0, 20.0, 30.0], 100)[:, None] + rng.normal(size=(400, 1))
+        data = Dataset(points=pts, sigma=1.0)
+        tol = len(pts) * np.finfo(float).eps * np.abs(pts).max()
+        for init in ("uniform", "plusplus"):
+            cfg = KMeansConfig(k=4, init=init, replicates=100, seed=1)
+            cents, assign, iters = lloyd_replicated(pts, _seed_sets(pts, cfg), cfg.max_iter)
+            got = kmeans_replicated(data, cfg)
+            assert np.array_equal(got.assignments, assign)
+            assert got.iterations_per_centroid == [iters]
+            assert np.max(np.abs(got.centroids - cents)) <= tol
+
+
+class TestMemoryBudget:
+    """One kmeans100 call stays within 3 BUDGET bytes: the two (chunk, N, K, d)
+    temporaries of one classify call, at most BUDGET each, plus arrays of
+    R K d and chunk N d floats.  An unchunked batch is 4.7 MiB on dim2k4 and
+    80 MiB on dim100k10."""
+
+    @pytest.mark.parametrize("scenario", ["dim2k4", "dim100k10"])
+    def test_kmeans100_peak(self, scenario):
+        data = _scenario_data(scenario, 1.0, trial=0)
+        cfg = KMeansConfig(k=4 if scenario == "dim2k4" else 10, replicates=100)
+        tracemalloc.start()
+        try:
+            kmeans_replicated(data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * BUDGET
 
 
 class TestCentrexGaussian:

@@ -175,6 +175,24 @@ class TestClassify:
             ]
             assert np.array_equal(got, want)
 
+    def test_stacked_centroid_sets_match_one_set_at_a_time(self):
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 100):
+            pts = rng.normal(size=(50, d))
+            cents = rng.normal(size=(6, 4, d))
+            cents[1, 3] = cents[1, 1]  # duplicate centroid: ties go to index 1
+            cents[2] = 0.0  # all four tie: everything goes to index 0
+            got = classify(pts, cents)
+            assert got.shape == (6, 50)
+            for r in range(6):
+                assert np.array_equal(got[r], classify(pts, cents[r]))
+            assert not np.any(got[1] == 3) and np.all(got[2] == 0)
+
+    @pytest.mark.parametrize("cents", [[], np.empty((0, 2)), np.empty((3, 0, 2))])
+    def test_empty_centroid_list_rejected(self, cents):
+        with pytest.raises(ValueError):
+            classify(np.zeros((4, 2)), cents)
+
 
 class TestRunCentrex:
     def _four_cluster_data(self, seed, sigma=1.0):
