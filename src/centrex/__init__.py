@@ -11,7 +11,6 @@ from .centralized import (
     Dataset,
     classify,
     distortion,
-    estimate_sigma_post,
     fixed_point,
     fuse,
     h_map,
@@ -23,7 +22,6 @@ from .decentralized import (
     NetworkConfig,
     RoundLog,
     SensorNetwork,
-    consensus_diagnostics,
     init_round,
     run_decentrex,
     slot_step,

@@ -27,7 +27,6 @@ __all__ = [
     "distortion",
     "run_centrex",
     "sigma_lim",
-    "estimate_sigma_post",
 ]
 
 
@@ -184,12 +183,12 @@ def classify(points, centroids) -> np.ndarray:
     return np.argmin(d2, axis=-1)
 
 
-def distortion(points_raw, centroids, assignments, squared: bool = False) -> float:
-    """Mean (optionally squared) distance to the assigned centroid, raw units."""
+def distortion(points_raw, centroids, assignments) -> float:
+    """Mean distance to the assigned centroid, raw units."""
     points_raw = np.asarray(points_raw, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
     dists = np.linalg.norm(points_raw - centroids[np.asarray(assignments)], axis=1)
-    return float(np.mean(dists**2 if squared else dists))
+    return float(np.mean(dists))
 
 
 def run_centrex(
@@ -257,11 +256,3 @@ def sigma_lim(true_centroids, gamma: float, d: int) -> float:
         for j in range(i + 1, len(cents)):
             dmin = min(dmin, float(np.linalg.norm(cents[i] - cents[j])))
     return dmin / mu
-
-
-def estimate_sigma_post(points_raw, result: ClusteringResult) -> float:
-    """Post-clustering noise estimate: RMS residual per coordinate, raw units."""
-    points_raw = np.asarray(points_raw, dtype=float)
-    n, d = points_raw.shape
-    resid = points_raw - result.centroids[result.assignments]
-    return math.sqrt(float(np.sum(resid * resid)) / (n * d))

@@ -8,9 +8,8 @@ the end fuses and classifies locally.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "init_round",
     "slot_step",
     "run_decentrex",
-    "consensus_diagnostics",
 ]
 
 
@@ -40,11 +38,13 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_sensors < 1 or self.T < 1:
-            raise ValueError("n_sensors and T must be positive")
+        if self.n_sensors < 2:
+            raise ValueError("n_sensors must be at least 2: a sensor pushes to another")
+        if self.T < 1:
+            raise ValueError("T must be positive")
         if not 1 <= self.L <= self.n_sensors:
             raise ValueError("L must lie in [1, n_sensors]")
-        if not 1 <= self.fanout <= self.n_sensors - 1 and self.n_sensors > 1:
+        if not 1 <= self.fanout <= self.n_sensors - 1:
             raise ValueError("fanout must lie in [1, n_sensors - 1]")
 
 
@@ -102,8 +102,6 @@ class RoundLog:
 
     messages_sent: int = 0
     rounds: int = 0
-    updates_per_sensor: np.ndarray | None = None
-    final_estimates: np.ndarray | None = None
 
 
 def init_round(net: SensorNetwork, rng: np.random.Generator) -> int:
@@ -165,60 +163,35 @@ def slot_step(net: SensorNetwork, config: NetworkConfig, rng: np.random.Generato
     return n * config.fanout, updated
 
 
-def run_decentrex(
-    data: Dataset,
-    config: NetworkConfig,
-    gamma: float = 1e-3,
-    kernel: KernelSpec | None = None,
-    event_log_path=None,
-):
+def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     """Run the full decentralized protocol on one dataset.
 
     Returns (results, log) where results[n] is the local ClusteringResult of
     sensor n (its centroid list after local fusion, and the assignment of its
-    own observation only) and log aggregates message counts and estimates.
+    own observation only) and log aggregates message and round counts.
     Deterministic for a given (data, config).
     """
     pts = data.normalized_points()
     n, d = pts.shape
     if n != config.n_sensors:
         raise ValueError("config.n_sensors must match the dataset size")
-    if kernel is None:
-        kernel = KernelSpec("wald", d)
+    kernel = KernelSpec("wald", d)
     rng = np.random.default_rng(config.seed)
     wald_cfg = WaldConfig(d=d, gamma=gamma)
     net = SensorNetwork(pts, kernel)
-    log = RoundLog(updates_per_sensor=np.zeros(n, dtype=int))
-    events = [] if event_log_path is not None else None
+    log = RoundLog()
 
     while not net.marked.all():
         chosen = init_round(net, rng)
-        for t in range(config.T):
-            sent, updated = slot_step(net, config, rng)
+        for _ in range(config.T):
+            sent, _ = slot_step(net, config, rng)
             log.messages_sent += sent
-            log.updates_per_sensor[updated] += 1
-            if events is not None and updated.any():
-                for s in np.flatnonzero(updated):
-                    events.append(
-                        {
-                            "round": log.rounds,
-                            "slot": t,
-                            "sensor": int(s),
-                            "c": int(net.c[s]),
-                            "estimate": net.estimate[s].tolist(),
-                        }
-                    )
         for s in range(n):
             net.phi[s].append(net.estimate[s].copy())
         dist = np.linalg.norm(net.y - net.estimate, axis=1)
         net.marked |= dist <= wald_cfg.threshold
         net.marked[chosen] = True
         log.rounds += 1
-
-    if events is not None:
-        with open(event_log_path, "w") as fh:
-            for rec in events:
-                fh.write(json.dumps(rec) + "\n")
 
     # Local fusion: sensors cannot observe per-cluster supports, so each one
     # uses the network-wide surrogate N / |phi_n|.
@@ -238,42 +211,4 @@ def run_decentrex(
                 k_hat=len(cents),
             )
         )
-    log.final_estimates = net.estimate * scale
     return results, log
-
-
-def consensus_diagnostics(results, log: RoundLog | None = None) -> dict:
-    """Cross-sensor agreement report.
-
-    Gives the per-sensor cluster-count histogram, the maximum distance between
-    matched centroids of any sensor and a reference sensor holding the modal
-    cluster count, and the total message count when a log is supplied.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    k_hats = np.array([r.k_hat for r in results])
-    values, freq = np.unique(k_hats, return_counts=True)
-    histogram = {int(v): int(f) for v, f in zip(values, freq)}
-    modal_k = int(values[np.argmax(freq)])
-    ref = next(r for r in results if r.k_hat == modal_k)
-
-    max_dist = 0.0
-    for r in results:
-        if r.k_hat != modal_k:
-            continue
-        cost = np.linalg.norm(
-            ref.centroids[:, None, :] - r.centroids[None, :, :], axis=2
-        )
-        rows, cols = linear_sum_assignment(cost)
-        max_dist = max(max_dist, float(cost[rows, cols].max()))
-
-    report = {
-        "k_hat_histogram": histogram,
-        "modal_k_hat": modal_k,
-        "agreement_fraction": float(np.mean(k_hats == modal_k)),
-        "max_matched_centroid_distance": max_dist,
-    }
-    if log is not None:
-        report["messages_sent"] = log.messages_sent
-        report["rounds"] = log.rounds
-    return report

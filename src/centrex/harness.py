@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,6 @@ __all__ = [
     "classification_error",
     "distortion",
     "run_experiment",
-    "load_dataset_csv",
-    "save_dataset_csv",
 ]
 
 CSV_FIELDS = ["algorithm", "sigma", "trial", "k_hat", "pe", "distortion", "messages", "runtime_s"]
@@ -56,7 +54,6 @@ class ExperimentConfig:
     fanout: int = 1
     seed: int = 0
     record_runtime: bool = False
-    squared_distortion: bool = False
 
     def __post_init__(self):
         if self.scenario == "dim2k4":
@@ -84,6 +81,11 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if "centroids" in raw and raw["centroids"] is not None:
             raw["centroids"] = np.asarray(raw["centroids"], dtype=float)
         if "sigmas" in raw:
@@ -215,9 +217,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
                 pe = classification_error(
                     data.labels, cell.assignments, k_true=config.k, k_hat=cell.k_hat
                 )
-                dist = distortion(
-                    data.points, cell.assigned, np.arange(data.n), config.squared_distortion
-                )
+                dist = distortion(data.points, cell.assigned, np.arange(data.n))
                 rows.append(
                     {
                         "algorithm": name,
@@ -275,40 +275,3 @@ def _write_outputs(rows, config, out_dir: Path):
             json.dump(summary, fh, indent=2, sort_keys=True)
     except OSError as exc:
         raise OSError(f"failed writing {json_path}: {exc}") from exc
-
-
-def save_dataset_csv(data: Dataset, path):
-    """One row per point, d float columns, optional trailing integer label."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"x{i}" for i in range(data.d)]
-        if data.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [f"{v:.12g}" for v in data.points[i]]
-            if data.labels is not None:
-                row.append(int(data.labels[i]))
-            writer.writerow(row)
-
-
-def load_dataset_csv(path, sigma: float) -> Dataset:
-    """Read a point-per-row CSV (header required, optional label column)."""
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        has_labels = header[-1].strip().lower() == "label"
-        pts, labels = [], []
-        for row in reader:
-            if not row:
-                continue
-            if has_labels:
-                pts.append([float(v) for v in row[:-1]])
-                labels.append(int(row[-1]))
-            else:
-                pts.append([float(v) for v in row])
-    return Dataset(
-        points=np.asarray(pts),
-        sigma=sigma,
-        labels=np.asarray(labels) if has_labels else None,
-    )

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from centrex.centralized import (
-    ClusteringResult,
     Dataset,
     classify,
-    estimate_sigma_post,
     fixed_point,
     fuse,
     h_map,
@@ -308,38 +306,3 @@ class TestSigmaLim:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             sigma_lim(np.array([[1.0, 1.0]]), 1e-3, 2)
-
-
-class TestEstimateSigmaPost:
-    def test_zero_residual(self):
-        pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-        res = ClusteringResult(
-            centroids=pts.copy(),
-            assignments=np.array([0, 1]),
-            support_counts=np.array([1, 1]),
-            k_hat=2,
-        )
-        assert estimate_sigma_post(pts, res) == 0.0
-
-    def test_known_noise_recovered(self):
-        rng = np.random.default_rng(55)
-        pts = _cluster(rng, [5.0, 5.0], 10_000)
-        res = ClusteringResult(
-            centroids=np.array([[5.0, 5.0]]),
-            assignments=np.zeros(10_000, dtype=int),
-            support_counts=np.array([10_000]),
-            k_hat=1,
-        )
-        assert estimate_sigma_post(pts, res) == pytest.approx(1.0, abs=0.02)
-
-    def test_underestimates_below_sigma_lim(self):
-        # With estimated centroids fit to the data, residuals shrink on average.
-        centers = np.array([[10, 20], [20, 10], [10, 10], [20, 20]], dtype=float)
-        diffs = []
-        for seed in range(20):
-            rng = np.random.default_rng(300 + seed)
-            labels = np.repeat(np.arange(4), 100)
-            pts = centers[labels] + 1.5 * rng.standard_normal((400, 2))
-            res = run_centrex(Dataset(points=pts, sigma=1.5, labels=labels), seed=seed)
-            diffs.append(estimate_sigma_post(pts, res) - 1.5)
-        assert np.mean(diffs) <= 0.0

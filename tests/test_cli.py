@@ -76,3 +76,16 @@ def test_bad_config_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["centrex", "run", "--config", str(bad)]) == 1
     assert main(["centrex", "run", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "raw, reason",
+    [('{"scenario": "dim2k4", "sigmaz": [1.0]}', "sigmaz"), ('["dim2k4"]', "JSON object")],
+    ids=["unknown_key", "not_object"],
+)
+def test_malformed_config_is_an_error(tmp_path, capsys, raw, reason):
+    path = tmp_path / "cfg.json"
+    path.write_text(raw)
+    assert main(["centrex", "run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err

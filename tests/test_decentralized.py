@@ -7,7 +7,6 @@ from centrex.centralized import Dataset, h_map
 from centrex.decentralized import (
     NetworkConfig,
     SensorNetwork,
-    consensus_diagnostics,
     init_round,
     run_decentrex,
     slot_step,
@@ -100,9 +99,10 @@ class TestSlotStep:
         assert np.abs(net.estimate - want).max() <= 1e-12
 
     def test_single_cluster_convergence(self):
-        # A sensor's last update aggregates at least L contributions, so its
-        # error scale is sqrt(r^2 / L) ~ 0.19 per axis; 0.5 is then a tail
-        # event for individual sensors, not a bound on the max over 400.
+        # Each sensor's assigned centroid is what the sweep rows score.  An
+        # estimate aggregates at least L contributions, so its error scale is
+        # sqrt(r^2 / L) ~ 0.19 per axis; 0.5 is then a tail event for
+        # individual sensors, not a bound on the max over 400.
         hits = 0
         trials = 50
         for seed in range(trials):
@@ -110,8 +110,9 @@ class TestSlotStep:
             pts = np.array([10.0, 10.0]) + rng.standard_normal((400, 2))
             data = Dataset(points=pts, sigma=1.0, normalized=True)
             cfg = NetworkConfig(n_sensors=400, T=300, L=30, seed=seed)
-            results, log = run_decentrex(data, cfg)
-            dists = np.linalg.norm(log.final_estimates - [10.0, 10.0], axis=1)
+            results, _ = run_decentrex(data, cfg)
+            assigned = np.array([r.centroids[r.assignments[0]] for r in results])
+            dists = np.linalg.norm(assigned - [10.0, 10.0], axis=1)
             assert np.median(dists) <= 0.3
             if np.mean(dists <= 0.5) >= 0.975:
                 hits += 1
@@ -132,7 +133,6 @@ class TestRunDecentrex:
         r1, l1 = run_decentrex(data, cfg)
         r2, l2 = run_decentrex(data, cfg)
         assert l1.messages_sent == l2.messages_sent
-        assert np.array_equal(l1.final_estimates, l2.final_estimates)
         for a, b in zip(r1, r2):
             assert a.k_hat == b.k_hat
             assert np.array_equal(a.centroids, b.centroids)
@@ -153,11 +153,11 @@ class TestRunDecentrex:
         for seed in range(trials):
             data, _ = self._data(100 + seed)
             cfg = NetworkConfig(n_sensors=400, T=300, L=30, seed=seed)
-            results, log = run_decentrex(data, cfg)
-            diag = consensus_diagnostics(results, log)
-            if diag["modal_k_hat"] == 4:
+            results, _ = run_decentrex(data, cfg)
+            k_hat_counts = np.bincount([r.k_hat for r in results])
+            if k_hat_counts.argmax() == 4:
                 modal4 += 1
-            assert diag["agreement_fraction"] >= 0.5
+            assert k_hat_counts.max() / len(results) >= 0.5
         assert modal4 >= trials * 0.9
 
     def test_config_validation(self):
@@ -165,24 +165,15 @@ class TestRunDecentrex:
             NetworkConfig(n_sensors=10, T=100, L=11)
         with pytest.raises(ValueError):
             NetworkConfig(n_sensors=10, T=0, L=5)
+        # One sensor has nobody to push to.
+        with pytest.raises(ValueError, match="n_sensors"):
+            NetworkConfig(n_sensors=1, T=3, L=1)
 
     def test_mismatched_size_rejected(self):
         data, _ = self._data(2)
         cfg = NetworkConfig(n_sensors=10, T=10, L=5)
         with pytest.raises(ValueError):
             run_decentrex(data, cfg)
-
-    def test_event_log(self, tmp_path):
-        import json
-
-        data, _ = self._data(3)
-        cfg = NetworkConfig(n_sensors=400, T=100, L=10, seed=1)
-        path = tmp_path / "events.jsonl"
-        run_decentrex(data, cfg, event_log_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines
-        rec = json.loads(lines[0])
-        assert set(rec) == {"round", "slot", "sensor", "c", "estimate"}
 
     def test_underflowed_weights_keep_the_estimate(self):
         # In d = 100 the kernel of a far cluster underflows to 0, so a sensor
@@ -242,13 +233,3 @@ class TestOwnContribution:
         cfg = NetworkConfig(n_sensors=100, T=100, L=10, seed=np.random.SeedSequence([0, 0, 0, 0]))
         stats = self._checked_run(monkeypatch, data, cfg)
         assert stats["kept"] > 0
-
-
-class TestConsensusDiagnostics:
-    def test_identical_outcomes(self):
-        data = Dataset(points=np.zeros((4, 2)) + [[1.0, 1.0]], sigma=1.0, normalized=True)
-        cfg = NetworkConfig(n_sensors=4, T=5, L=2, seed=0)
-        results, log = run_decentrex(data, cfg)
-        diag = consensus_diagnostics(results, log)
-        assert diag["max_matched_centroid_distance"] == pytest.approx(0.0, abs=1e-12)
-        assert diag["messages_sent"] == log.messages_sent

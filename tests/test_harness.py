@@ -11,9 +11,7 @@ from centrex.harness import (
     classification_error,
     distortion,
     generate_dataset,
-    load_dataset_csv,
     run_experiment,
-    save_dataset_csv,
 )
 
 from oracles import brute_force_matching_error
@@ -149,11 +147,6 @@ class TestDistortion:
             ratios.append(r2 / r1)
         assert np.mean(ratios) == pytest.approx(2.0, rel=0.05)
 
-    def test_squared_variant(self):
-        pts = np.array([[2.0, 0.0]])
-        cents = np.zeros((1, 2))
-        assert distortion(pts, cents, [0], squared=True) == pytest.approx(4.0)
-
 
 class TestRunExperiment:
     def _small_config(self, **kw):
@@ -194,23 +187,3 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["centrex"][0]["trials"] == 3
         assert 0.0 <= summary["centrex"][0]["pe_mean"] <= 1.0
-
-
-class TestDatasetCsv:
-    def test_round_trip(self, tmp_path):
-        cfg = ExperimentConfig(scenario="dim2k4")
-        data = generate_dataset(cfg, 2)
-        path = tmp_path / "data.csv"
-        save_dataset_csv(data, path)
-        loaded = load_dataset_csv(path, sigma=1.0)
-        assert np.allclose(loaded.points, data.points, atol=1e-9)
-        assert np.array_equal(loaded.labels, data.labels)
-
-    def test_unlabeled(self, tmp_path):
-        data = generate_dataset(ExperimentConfig(scenario="dim2k4"), 3)
-        data.labels = None
-        path = tmp_path / "plain.csv"
-        save_dataset_csv(data, path)
-        loaded = load_dataset_csv(path, sigma=2.0)
-        assert loaded.labels is None
-        assert loaded.sigma == 2.0
