@@ -26,6 +26,10 @@ __all__ = [
     "run_decentrex",
 ]
 
+# Bytes allowed for one block of a round's push targets: a whole round of
+# the dim2k4 gossip run (T = 300, n = 400, fanout 1) is 960 000.
+BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -55,10 +59,16 @@ class SensorNetwork:
     counts the own-observation contributions aggregated in (P, Q), marked flag,
     and the list of centroids estimated so far.
 
-    The own contribution (own_P, own_Q) = (w * y, w), w = kernel(||y - estimate||^2),
-    is kept as long as the estimate does not move.  Only init_round and
-    slot_step may write estimate, and each refreshes own_P/own_Q for the
-    sensors it moved; any other writer would leave them stale.
+    The accumulators are one (n, d+2) row per sensor, state = [P | Q | c], so
+    a slot copies, resets and adds one array; P, Q and c are views of it.  The
+    counter c is a float, exact while it stays below 2**53 (it is at most
+    n * (T + 1)).
+
+    The own contribution own = [w * y | w | 1], w = kernel(||y - estimate||^2),
+    is kept as long as the estimate does not move; own_P and own_Q are views
+    of it.  Only init_round and slot_step may write estimate, and each
+    refreshes the own contribution of the sensors it moved; any other writer
+    would leave it stale.
     """
 
     def __init__(self, points: np.ndarray, kernel: KernelSpec):
@@ -66,11 +76,14 @@ class SensorNetwork:
         self.n, self.d = self.y.shape
         self.kernel = kernel
         self.estimate = np.zeros_like(self.y)
-        self.P = np.zeros_like(self.y)
-        self.Q = np.zeros(self.n)
-        self.c = np.zeros(self.n, dtype=int)
-        self.own_P = np.zeros_like(self.y)
-        self.own_Q = np.zeros(self.n)
+        d = self.d
+        self.state = np.zeros((self.n, d + 2))
+        self.P, self.Q, self.c = self.state[:, :d], self.state[:, d], self.state[:, d + 1]
+        self.own = np.zeros((self.n, d + 2))
+        self.own[:, d + 1] = 1.0
+        self.own_P, self.own_Q = self.own[:, :d], self.own[:, d]
+        # Column of each entry of the flattened state.
+        self.lane = np.tile(np.arange(d + 2), self.n)
         self.marked = np.zeros(self.n, dtype=bool)
         self.phi = [[] for _ in range(self.n)]
 
@@ -78,22 +91,16 @@ class SensorNetwork:
         """Own-observation contribution (P, Q) evaluated at the current estimate."""
         if idx is None:
             idx = slice(None)
-        diff = self.y[idx] - self.estimate[idx]
-        w = np.atleast_1d(weight(self.kernel, np.sum(diff * diff, axis=1)))
-        return w[:, None] * self.y[idx], w
+        y = self.y[idx]
+        diff = y - self.estimate[idx]
+        w = weight(self.kernel, (diff * diff).sum(axis=1))
+        return w[:, None] * y, w
 
     def refresh_own(self, idx=None):
         """Re-evaluate the own contribution of sensors whose estimate moved."""
         if idx is None:
             idx = slice(None)
         self.own_P[idx], self.own_Q[idx] = self.fresh_contribution(idx)
-
-    def reset_accumulators(self, idx=None):
-        if idx is None:
-            idx = slice(None)
-        self.P[idx] = self.own_P[idx]
-        self.Q[idx] = self.own_Q[idx]
-        self.c[idx] = 1
 
 
 @dataclass
@@ -116,51 +123,61 @@ def init_round(net: SensorNetwork, rng: np.random.Generator) -> int:
     chosen = int(rng.choice(unmarked))
     net.estimate[:] = net.y[chosen]
     net.refresh_own()
-    net.reset_accumulators()
+    net.state[:] = net.own
     return chosen
 
 
-def _pick_targets(n: int, fanout: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, fanout) matrix of push targets, distinct from each sender."""
-    if fanout == 1:
-        t = rng.integers(0, n - 1, size=n)
-        t[t >= np.arange(n)] += 1
-        return t[:, None]
-    targets = np.empty((n, fanout), dtype=int)
-    for i in range(n):
-        t = rng.choice(n - 1, size=fanout, replace=False)
-        t[t >= i] += 1
-        targets[i] = t
-    return targets
+def _target_blocks(n: int, fanout: int, slots: int, rng: np.random.Generator):
+    """Yield (b, n, fanout) push targets for `slots` slots, b slots at a time.
+
+    Entry [s, i] holds the `fanout` distinct targets of sender i in slot s,
+    none equal to i.  A block holds as many slots as fit BUDGET bytes (at
+    least one), and the draws are those of one slot after another: fanout 1
+    takes one rng.integers call per block, which PCG64 answers with the same
+    integers and leaves in the same state as one call per slot.
+    """
+    per_block = max(1, BUDGET // (8 * n * fanout))
+    sender = np.arange(n)
+    for start in range(0, slots, per_block):
+        b = min(per_block, slots - start)
+        if fanout == 1:
+            block = rng.integers(0, n - 1, size=(b, n))[:, :, None]
+        else:
+            block = np.empty((b, n, fanout), dtype=np.int64)
+            for s in range(b):
+                for i in range(n):
+                    block[s, i] = rng.choice(n - 1, size=fanout, replace=False)
+        block += block >= sender[:, None]
+        yield block
 
 
-def slot_step(net: SensorNetwork, config: NetworkConfig, rng: np.random.Generator):
-    """One synchronous time slot.
+def slot_step(net: SensorNetwork, config: NetworkConfig, targets: np.ndarray):
+    """One synchronous time slot with (n, fanout) push targets.
 
-    Every sensor pushes its accumulator snapshot to `fanout` distinct others
+    Every sensor pushes its accumulator snapshot to its `fanout` targets
     and keeps only a fresh own contribution; receivers add incoming sums
-    termwise.  All receptions are applied before any update check; sensors
-    whose counter reaches L then set estimate = P/Q and reset.  A sensor whose
-    weights all underflowed (Q = 0) keeps its estimate and still resets.
+    termwise, in sender order.  All receptions are applied before any update
+    check; sensors whose counter reaches L then set estimate = P/Q and reset.
+    A sensor whose weights all underflowed (Q = 0) keeps its estimate and
+    still resets.
 
     Returns (messages_sent, updated_mask).
     """
-    n = net.n
-    targets = _pick_targets(n, config.fanout, rng)
-    P_snap, Q_snap, c_snap = net.P.copy(), net.Q.copy(), net.c.copy()
-    net.reset_accumulators()
-    for f in range(config.fanout):
-        t = targets[:, f]
-        np.add.at(net.P, t, P_snap)
-        np.add.at(net.Q, t, Q_snap)
-        np.add.at(net.c, t, c_snap)
+    n, fanout = targets.shape
+    width = net.d + 2
+    snap = net.state.ravel().copy()
+    net.state[:] = net.own
+    flat = net.state.ravel()
+    for f in range(fanout):
+        np.add.at(flat, np.repeat(targets[:, f] * width, width) + net.lane, snap)
     updated = net.c >= config.L
-    if updated.any():
-        moved = updated & (net.Q > 0)
+    idx = np.flatnonzero(updated)
+    if idx.size:
+        moved = idx[net.Q[idx] > 0]
         net.estimate[moved] = net.P[moved] / net.Q[moved, None]
         net.refresh_own(moved)
-        net.reset_accumulators(updated)
-    return n * config.fanout, updated
+        net.state[idx] = net.own[idx]
+    return n * fanout, updated
 
 
 def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
@@ -183,9 +200,10 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
 
     while not net.marked.all():
         chosen = init_round(net, rng)
-        for _ in range(config.T):
-            sent, _ = slot_step(net, config, rng)
-            log.messages_sent += sent
+        for block in _target_blocks(n, config.fanout, config.T, rng):
+            for targets in block:
+                sent, _ = slot_step(net, config, targets)
+                log.messages_sent += sent
         for s in range(n):
             net.phi[s].append(net.estimate[s].copy())
         dist = np.linalg.norm(net.y - net.estimate, axis=1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -34,6 +35,17 @@ CSV_FIELDS = ["algorithm", "sigma", "trial", "k_hat", "pe", "distortion", "messa
 # Four-corner layout used by the d=2, K=4 scenario, in units of the scale A.
 _DIM2_LAYOUT = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
 
+_INT_FIELDS = ("d", "k", "n", "trials", "slots_t", "update_l", "fanout", "seed")
+_REAL_FIELDS = ("scale_a", "gamma", "epsilon", "beta")
+
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
 
 @dataclass
 class ExperimentConfig:
@@ -56,6 +68,7 @@ class ExperimentConfig:
     record_runtime: bool = False
 
     def __post_init__(self):
+        self._check_types()
         if self.scenario == "dim2k4":
             self.d, self.k = 2, 4
             self.centroids = self.scale_a * _DIM2_LAYOUT
@@ -77,6 +90,24 @@ class ExperimentConfig:
         if self.n % self.k != 0:
             raise ValueError("n must be divisible by k for balanced scenarios")
 
+    def _check_types(self):
+        """Reject a field of the wrong type with a ValueError naming it."""
+        for name in _INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in _REAL_FIELDS:
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not isinstance(self.sigmas, (tuple, list)) or not all(map(_is_real, self.sigmas)):
+            raise ValueError(f"sigmas must be a list of numbers, got {self.sigmas!r}")
+        algorithms = self.algorithms
+        if not isinstance(algorithms, (tuple, list)) or not all(isinstance(a, str) for a in algorithms):
+            raise ValueError(f"algorithms must be a list of names, got {algorithms!r}")
+        if not isinstance(self.scenario, str):
+            raise ValueError(f"scenario must be a name, got {self.scenario!r}")
+        if not isinstance(self.record_runtime, bool):
+            raise ValueError(f"record_runtime must be true or false, got {self.record_runtime!r}")
+
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
@@ -88,10 +119,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if "centroids" in raw and raw["centroids"] is not None:
             raw["centroids"] = np.asarray(raw["centroids"], dtype=float)
-        if "sigmas" in raw:
-            raw["sigmas"] = tuple(raw["sigmas"])
-        if "algorithms" in raw:
-            raw["algorithms"] = tuple(raw["algorithms"])
+        for name in ("sigmas", "algorithms"):
+            if isinstance(raw.get(name), list):
+                raw[name] = tuple(raw[name])
         return cls(**raw)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from centrex.centralized import fixed_point, h_map, mark, sigma_lim
-from centrex.decentralized import NetworkConfig, SensorNetwork, init_round, slot_step
+from centrex.decentralized import NetworkConfig, SensorNetwork, _target_blocks, init_round, slot_step
 from centrex.harness import ExperimentConfig, classification_error, run_experiment
 from centrex.statfn import KernelSpec, marcum_q, r_squared, threshold_mu
 from centrex.wald import WaldConfig
@@ -241,7 +241,8 @@ def test_criterion_7_property_spotchecks():
     net = SensorNetwork(pts, kernel)
     init_round(net, rng)
     theta0 = net.estimate[0].copy()
-    slot_step(net, NetworkConfig(n_sensors=30, T=1, L=30, fanout=29, seed=0), rng)
+    targets = next(_target_blocks(30, 29, 1, rng))[0]
+    slot_step(net, NetworkConfig(n_sensors=30, T=1, L=30, fanout=29, seed=0), targets)
     checks.append(np.abs(net.estimate - h_map(pts, kernel, theta0)).max() <= 1e-12)
 
     # Test level under the null: rejection rate near gamma.

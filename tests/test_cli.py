@@ -80,8 +80,13 @@ def test_bad_config_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "raw, reason",
-    [('{"scenario": "dim2k4", "sigmaz": [1.0]}', "sigmaz"), ('["dim2k4"]', "JSON object")],
-    ids=["unknown_key", "not_object"],
+    [
+        ('{"scenario": "dim2k4", "sigmaz": [1.0]}', "sigmaz"),
+        ('["dim2k4"]', "JSON object"),
+        ('{"scenario": "dim2k4", "trials": "3"}', "trials"),
+        ('{"scenario": "dim2k4", "sigmas": 1.0}', "sigmas"),
+    ],
+    ids=["unknown_key", "not_object", "trials_not_int", "sigmas_not_list"],
 )
 def test_malformed_config_is_an_error(tmp_path, capsys, raw, reason):
     path = tmp_path / "cfg.json"

@@ -1,24 +1,35 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import ThreeArrayNetwork, pick_targets
 from scipy.stats import chisquare
 
 from centrex import decentralized
 from centrex.centralized import Dataset, h_map
 from centrex.decentralized import (
+    BUDGET,
     NetworkConfig,
     SensorNetwork,
+    _target_blocks,
     init_round,
     run_decentrex,
     slot_step,
 )
 from centrex.harness import ExperimentConfig, classification_error, generate_dataset, run_experiment
-from centrex.statfn import KernelSpec
+from centrex.statfn import KernelSpec, weight
 
 KERNEL2 = KernelSpec("wald", 2)
 
 
 def _network(points):
     return SensorNetwork(np.asarray(points, dtype=float), KERNEL2)
+
+
+def _slot_targets(cfg, rng):
+    """The (n, fanout) push targets of one slot."""
+    return next(_target_blocks(cfg.n_sensors, cfg.fanout, 1, rng))[0]
 
 
 class TestInitRound:
@@ -61,7 +72,7 @@ class TestSlotStep:
         init_round(net, rng)
         cfg = NetworkConfig(n_sensors=10, T=1, L=10, fanout=1, seed=0)
         before = net.estimate.copy()
-        _, updated = slot_step(net, cfg, rng)
+        _, updated = slot_step(net, cfg, _slot_targets(cfg, rng))
         # fanout 1: max counter after one slot is well below L = n
         assert not updated.any()
         assert np.array_equal(net.estimate, before)
@@ -76,7 +87,7 @@ class TestSlotStep:
         cfg = NetworkConfig(n_sensors=50, T=1, L=50, fanout=1, seed=0)
         for _ in range(5):
             total_before = net.c.sum()
-            slot_step(net, cfg, rng)
+            slot_step(net, cfg, _slot_targets(cfg, rng))
             assert net.c.sum() == total_before + net.n
 
     def test_message_count(self):
@@ -84,7 +95,7 @@ class TestSlotStep:
         net = _network(rng.normal(size=(12, 2)))
         init_round(net, rng)
         cfg = NetworkConfig(n_sensors=12, T=1, L=3, fanout=2, seed=0)
-        sent, _ = slot_step(net, cfg, rng)
+        sent, _ = slot_step(net, cfg, _slot_targets(cfg, rng))
         assert sent == 12 * 2
 
     def test_full_fanout_single_slot_equals_h_map(self):
@@ -94,7 +105,7 @@ class TestSlotStep:
         init_round(net, rng)
         theta0 = net.estimate[0].copy()
         cfg = NetworkConfig(n_sensors=25, T=1, L=25, fanout=24, seed=0)
-        slot_step(net, cfg, rng)
+        slot_step(net, cfg, _slot_targets(cfg, rng))
         want = h_map(pts, KERNEL2, theta0)
         assert np.abs(net.estimate - want).max() <= 1e-12
 
@@ -199,9 +210,9 @@ class TestOwnContribution:
     def _checked_run(self, monkeypatch, data, config):
         stats = {"updates": 0, "kept": 0}
 
-        def checked_slot_step(net, cfg, rng):
+        def checked_slot_step(net, cfg, targets):
             before = net.estimate.copy()
-            sent, updated = slot_step(net, cfg, rng)
+            sent, updated = slot_step(net, cfg, targets)
             P, Q = net.fresh_contribution()
             assert np.array_equal(net.own_P, P)
             assert np.array_equal(net.own_Q, Q)
@@ -233,3 +244,107 @@ class TestOwnContribution:
         cfg = NetworkConfig(n_sensors=100, T=100, L=10, seed=np.random.SeedSequence([0, 0, 0, 0]))
         stats = self._checked_run(monkeypatch, data, cfg)
         assert stats["kept"] > 0
+
+
+def _same_bits(a, b):
+    return np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestFlatSlotMatchesThreeArrays:
+    """The flat (n, d+2) slot must give, bit for bit, the state of the
+    three-array slot it replaced, driven through full runs on the same
+    targets."""
+
+    def _lockstep_run(self, monkeypatch, data, config):
+        stats = {"slots": 0, "updates": 0, "kept": 0}
+        oracle = {}
+        real_init, real_slot = decentralized.init_round, decentralized.slot_step
+
+        def check(net):
+            ref = oracle["net"]
+            for name in ("estimate", "P", "Q", "own_P", "own_Q"):
+                assert _same_bits(getattr(net, name), getattr(ref, name)), name
+            assert np.array_equal(net.c, ref.c)
+
+        def lockstep_init(net, rng):
+            chosen = real_init(net, rng)
+            if "net" not in oracle:
+                oracle["net"] = ThreeArrayNetwork(net.y, lambda u: weight(net.kernel, u))
+            oracle["net"].init_round(chosen)
+            check(net)
+            return chosen
+
+        def lockstep_slot(net, cfg, targets):
+            before = net.estimate.copy()
+            sent, updated = real_slot(net, cfg, targets)
+            assert np.array_equal(updated, oracle["net"].slot_step(cfg.L, targets))
+            check(net)
+            stats["slots"] += 1
+            stats["updates"] += int(updated.sum())
+            stats["kept"] += int(np.sum(updated & np.all(net.estimate == before, axis=1)))
+            return sent, updated
+
+        monkeypatch.setattr(decentralized, "init_round", lockstep_init)
+        monkeypatch.setattr(decentralized, "slot_step", lockstep_slot)
+        _, log = run_decentrex(data, config)
+        assert stats["slots"] == config.T * log.rounds
+        return stats
+
+    # Fanout 3 runs shorter rounds: its per-sender rng.choice draws make
+    # this test take about 8 s at T = 300.
+    @pytest.mark.parametrize("fanout, slots", [(1, 300), (3, 60)])
+    def test_dim2k4(self, monkeypatch, fanout, slots):
+        config = ExperimentConfig(scenario="dim2k4", sigmas=(1.5,))
+        data = generate_dataset(config, np.random.SeedSequence([0, 0, 0]))
+        cfg = NetworkConfig(n_sensors=400, T=slots, L=30, fanout=fanout, seed=fanout)
+        stats = self._lockstep_run(monkeypatch, data, cfg)
+        assert stats["updates"] > 0
+
+    def test_dim100k10_with_underflow(self, monkeypatch):
+        config = ExperimentConfig(scenario="dim100k10", n=100, sigmas=(1.0,))
+        data = generate_dataset(config, np.random.SeedSequence([0, 0, 0]))
+        cfg = NetworkConfig(n_sensors=100, T=100, L=10, seed=np.random.SeedSequence([0, 0, 0, 0]))
+        stats = self._lockstep_run(monkeypatch, data, cfg)
+        assert stats["kept"] > 0
+
+
+class TestTargetBlocks:
+    """A round's targets drawn in blocks are the draws of one slot after
+    another, and leave the generator where those draws leave it."""
+
+    @pytest.mark.parametrize("slots", [1, 7, 300])
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("fanout", [1, 3])
+    @pytest.mark.parametrize("slots_per_block", [None, 2])
+    def test_blocks_replay_per_slot_draws(self, monkeypatch, slots_per_block, fanout, n, slots):
+        if slots_per_block is not None:
+            monkeypatch.setattr(decentralized, "BUDGET", 8 * n * fanout * slots_per_block)
+        self._check_replay(n, fanout, slots, seed=n + fanout + slots)
+
+    @pytest.mark.parametrize("n", [400, 401])
+    def test_gossip_round_in_one_block(self, n):
+        (block,) = _target_blocks(n, 1, 300, np.random.default_rng(0))
+        assert block.shape == (300, n, 1)
+        self._check_replay(n, 1, 300, seed=n)
+
+    def _check_replay(self, n, fanout, slots, seed):
+        blocked, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = np.concatenate(list(_target_blocks(n, fanout, slots, blocked)))
+        want = np.stack([pick_targets(n, fanout, single) for _ in range(slots)])
+        assert np.array_equal(drawn, want)
+        assert blocked.bit_generator.state == single.bit_generator.state
+        assert np.array_equal(blocked.integers(0, 5, size=3), single.integers(0, 5, size=3))
+        assert np.array_equal(blocked.choice(n, size=3), single.choice(n, size=3))
+
+    def test_full_fanout_blocks_stay_within_budget(self):
+        # A whole round at n = 400, fanout 399, T = 300 would be 383 MB; a
+        # block holds one slot (1.3 MB), and the loop keeps at most two.
+        blocks = _target_blocks(400, 399, 300, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            for block in itertools.islice(blocks, 3):
+                assert block.shape == (1, 400, 399)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * BUDGET
