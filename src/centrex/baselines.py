@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centralized import ClusteringResult, Dataset, classify, distortion, run_centrex
+from .centralized import ClusteringResult, Dataset, classify, distortion, run_centrex, sq_dist
 from .statfn import KernelSpec
 
 __all__ = [
@@ -18,8 +18,10 @@ __all__ = [
     "centrex_gaussian",
 ]
 
-# Bytes allowed for the (chunk, N, K, d) float distance temporary of one
-# batched Lloyd step: 40 replicates of dim2k4 at N = 400, one of dim100k10.
+# Bytes allowed for the (chunk, N, K, d) floats of one batched Lloyd step: 40
+# replicates of dim2k4 at N = 400, one of dim100k10.  From d = 8 on classify
+# holds two temporaries of that shape; below, sq_dist sums one coordinate at a
+# time and holds at most three (chunk, N, K) arrays, 3 / d BUDGET in all.
 BUDGET = 1 << 20
 
 
@@ -46,7 +48,7 @@ def kmeanspp_seed(points, k: int, rng: np.random.Generator) -> np.ndarray:
     if k > n:
         raise ValueError("k cannot exceed the number of points")
     seeds = [points[rng.integers(n)]]
-    d2 = np.sum((points - seeds[0]) ** 2, axis=1)
+    d2 = sq_dist(points, seeds[0])
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -54,7 +56,7 @@ def kmeanspp_seed(points, k: int, rng: np.random.Generator) -> np.ndarray:
         else:
             idx = rng.choice(n, p=d2 / total)
         seeds.append(points[idx])
-        d2 = np.minimum(d2, np.sum((points - seeds[-1]) ** 2, axis=1))
+        d2 = np.minimum(d2, sq_dist(points, seeds[-1]))
     return np.asarray(seeds)
 
 
@@ -68,7 +70,7 @@ def _seeds(points, config: KMeansConfig, rng: np.random.Generator) -> np.ndarray
 def _reseed(points, centroids, assign):
     """Update one replicate that has an empty cluster, cluster by cluster and
     in place: an empty cluster takes the point farthest from its centroid."""
-    dists = np.linalg.norm(points - centroids[assign], axis=1)
+    dists = np.sqrt(sq_dist(points, centroids[assign]))
     for j in range(centroids.shape[0]):
         members = assign == j
         if not members.any():
@@ -85,8 +87,8 @@ def _batched_lloyd(points, centroids, max_iter):
     centroids (R, K, d) and updated in place, until that replicate's
     assignments stabilize.
 
-    Replicates run in chunks whose (chunk, N, K, d) distance temporary fits in
-    BUDGET bytes, and leave their chunk once converged.  Returns assignments
+    Replicates run in chunks whose (chunk, N, K, d) floats fit in BUDGET
+    bytes, and leave their chunk once converged.  Returns assignments
     (R, N) and iteration counts (R,).
     """
     reps, k, d = centroids.shape

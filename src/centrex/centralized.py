@@ -90,14 +90,30 @@ class ClusteringResult:
     converged_per_centroid: list = field(default_factory=list)
 
 
+def sq_dist(a, b) -> np.ndarray:
+    """Squared distance ||a - b||^2 along the last axis, broadcast over the rest.
+
+    Below 8 coordinates numpy sums the last axis left to right, so adding the
+    squares one coordinate at a time gives the same bits as
+    np.sum((a - b) ** 2, axis=-1) without building the (..., d) difference.
+    From 8 on numpy sums pairwise, and only np.sum itself matches it.
+    """
+    d = np.shape(a)[-1]
+    if d >= 8:
+        return np.sum((a - b) ** 2, axis=-1)
+    acc = (a[..., 0] - b[..., 0]) ** 2
+    for j in range(1, d):
+        acc += (a[..., j] - b[..., j]) ** 2
+    return acc
+
+
 def h_map(points: np.ndarray, kernel: KernelSpec, x) -> np.ndarray:
     """Weighted mean of all points with weights kernel(||y - x||^2)."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("points must be a nonempty (N, d) array")
     x = np.asarray(x, dtype=float)
-    diffs = points - x
-    u = np.sum(diffs * diffs, axis=1)
+    u = sq_dist(points, x)
     w = np.atleast_1d(weight(kernel, u))
     total = np.sum(w)
     if total <= 0.0:
@@ -131,7 +147,7 @@ def mark(points, centroid, marking_cfg: WaldConfig) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.shape[1] != marking_cfg.d:
         raise ValueError("marking test dimension does not match the data")
-    dist = np.linalg.norm(points - np.asarray(centroid, dtype=float), axis=1)
+    dist = np.sqrt(sq_dist(points, np.asarray(centroid, dtype=float)))
     return np.flatnonzero(dist <= marking_cfg.threshold)
 
 
@@ -179,15 +195,14 @@ def classify(points, centroids) -> np.ndarray:
     centroids = np.asarray(centroids, dtype=float)
     if centroids.ndim not in (2, 3) or centroids.shape[-2] == 0:
         raise ValueError("centroid list must be nonempty")
-    d2 = np.sum((points[:, None, :] - centroids[..., None, :, :]) ** 2, axis=-1)
-    return np.argmin(d2, axis=-1)
+    return np.argmin(sq_dist(points[:, None, :], centroids[..., None, :, :]), axis=-1)
 
 
 def distortion(points_raw, centroids, assignments) -> float:
     """Mean distance to the assigned centroid, raw units."""
     points_raw = np.asarray(points_raw, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
-    dists = np.linalg.norm(points_raw - centroids[np.asarray(assignments)], axis=1)
+    dists = np.sqrt(sq_dist(points_raw, centroids[np.asarray(assignments)]))
     return float(np.mean(dists))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centralized import ClusteringResult, Dataset, classify, fuse
+from .centralized import ClusteringResult, Dataset, classify, fuse, sq_dist
 from .statfn import KernelSpec, r_squared, weight
 from .wald import WaldConfig
 
@@ -92,8 +92,7 @@ class SensorNetwork:
         if idx is None:
             idx = slice(None)
         y = self.y[idx]
-        diff = y - self.estimate[idx]
-        w = weight(self.kernel, (diff * diff).sum(axis=1))
+        w = weight(self.kernel, sq_dist(y, self.estimate[idx]))
         return w[:, None] * y, w
 
     def refresh_own(self, idx=None):
@@ -206,7 +205,7 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
                 log.messages_sent += sent
         for s in range(n):
             net.phi[s].append(net.estimate[s].copy())
-        dist = np.linalg.norm(net.y - net.estimate, axis=1)
+        dist = np.sqrt(sq_dist(net.y, net.estimate))
         net.marked |= dist <= wald_cfg.threshold
         net.marked[chosen] = True
         log.rounds += 1

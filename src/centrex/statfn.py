@@ -102,7 +102,8 @@ def weight(kernel: KernelSpec, u):
     exp(-beta * u).  Values lie in (0, 1] and decrease in u.
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0) or not np.all(np.isfinite(u_arr)):
+    # NaN fails both comparisons, so this one test rejects it too.
+    if not ((u_arr >= 0) & (u_arr < np.inf)).all():
         raise ValueError("squared distance must be finite and nonnegative")
     if kernel.kind == "wald":
         out = gammaincc(0.5 * kernel.d, 0.25 * u_arr)

@@ -224,10 +224,11 @@ class TestBatchedLloydMatchesOracle:
 
 
 class TestMemoryBudget:
-    """One kmeans100 call stays within 3 BUDGET bytes: the two (chunk, N, K, d)
-    temporaries of one classify call, at most BUDGET each, plus arrays of
-    R K d and chunk N d floats.  An unchunked batch is 4.7 MiB on dim2k4 and
-    80 MiB on dim100k10."""
+    """One kmeans100 call stays within 3 BUDGET bytes: the temporaries of one
+    classify call, plus arrays of R K d and chunk N d floats.  At d = 100
+    classify holds two (chunk, N, K, d) arrays, at most BUDGET each; at d = 2
+    it holds at most three (chunk, N, K) arrays, 1.5 BUDGET in all.  An
+    unchunked batch is 4.7 MiB on dim2k4 and 80 MiB on dim100k10."""
 
     @pytest.mark.parametrize("scenario", ["dim2k4", "dim100k10"])
     def test_kmeans100_peak(self, scenario):

@@ -12,6 +12,7 @@ from centrex.centralized import (
     mark,
     run_centrex,
     sigma_lim,
+    sq_dist,
 )
 from centrex.harness import ExperimentConfig, generate_dataset
 from centrex.statfn import KernelSpec, r_squared, threshold_mu, weight
@@ -152,6 +153,25 @@ class TestFuse:
         assert counts[0] == 500
 
 
+class TestSqDist:
+    """sq_dist against np.sum over the last axis, bit for bit, on the shapes
+    of its callers: row-wise pairs, rows against one point, and points
+    (N, 1, d) against stacked centroid sets (R, 1, K, d)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 100])
+    def test_matches_numpy_sum(self, d):
+        rng = np.random.default_rng(d)
+        for sa, sb in [((60, d), (60, d)), ((60, d), (d,)), ((60, 1, d), (5, 1, 4, d))]:
+            # Magnitudes from 1e-3 to 1e6, mixed within each vector.
+            a = rng.standard_normal(sa) * 10.0 ** rng.uniform(-3, 6, sa)
+            b = rng.standard_normal(sb) * 10.0 ** rng.uniform(-3, 6, sb)
+            want = np.sum((a - b) ** 2, axis=-1)
+            got = sq_dist(a, b)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.sqrt(got), np.linalg.norm(a - b, axis=-1))
+
+
 class TestClassify:
     def test_exact_centroid(self):
         cents = np.array([[0.0, 0.0], [5.0, 5.0]])
@@ -175,7 +195,7 @@ class TestClassify:
 
     def test_stacked_centroid_sets_match_one_set_at_a_time(self):
         rng = np.random.default_rng(3)
-        for d in (1, 2, 100):
+        for d in (1, 2, 7, 8, 100):
             pts = rng.normal(size=(50, d))
             cents = rng.normal(size=(6, 4, d))
             cents[1, 3] = cents[1, 1]  # duplicate centroid: ties go to index 1

@@ -3,7 +3,8 @@
 Speed-ups must leave sweep rows unchanged.  These rows were recorded before
 r^2 and the Wald threshold were memoized and before the gossip simulator kept
 each sensor's own contribution between slots; the kmeans100 rows were recorded
-before the K-means replicates ran in batches.  Any later change that moves
+before the K-means replicates ran in batches, and all of them before every
+distance went through the shared sq_dist kernel.  Any later change that moves
 k_hat, pe, distortion or messages in the last bit fails here and has to be
 explained.
 """

@@ -89,8 +89,14 @@ class TestWeight:
             assert w_hi <= w_lo
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            weight(KernelSpec("wald", 2), -0.1)
+        bad = [-0.1, math.nan, math.inf, -math.inf, np.array([0.5, math.nan, 2.0]), np.array([0.5, -1e-300])]
+        for u in bad:
+            with pytest.raises(ValueError):
+                weight(KernelSpec("wald", 2), u)
+
+    def test_empty_accepted(self):
+        # A gossip slot may refresh no sensor at all.
+        assert weight(KernelSpec("wald", 2), np.empty(0)).shape == (0,)
 
 
 class TestRSquared:
