@@ -42,11 +42,9 @@ class KMeansConfig:
 
 def kmeanspp_seed(points, k: int, rng: np.random.Generator) -> np.ndarray:
     """D^2-sampling seeds: first uniform, then proportional to the squared
-    distance to the nearest already-chosen seed."""
-    points = np.asarray(points, dtype=float)
+    distance to the nearest already-chosen seed.  Takes validated input:
+    (N, d) points and k <= N."""
     n = points.shape[0]
-    if k > n:
-        raise ValueError("k cannot exceed the number of points")
     seeds = [points[rng.integers(n)]]
     d2 = sq_dist(points, seeds[0])
     for _ in range(1, k):

@@ -32,16 +32,15 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """N measurement vectors of dimension d with known noise std sigma.
+    """N measurement vectors of dimension d with known noise std sigma, in raw
+    measurement units; dividing by sigma makes the model covariance the identity.
 
-    Points are stored in raw measurement units unless `normalized` is set, in
-    which case every coordinate has already been divided by sigma so that the
-    model covariance is the identity.
+    Points enter the library here and are checked here, once: the stages that
+    use them (h_map, mark, fuse, classify, ...) do not check them again.
     """
 
     points: np.ndarray
     sigma: float
-    normalized: bool = False
     labels: np.ndarray | None = None
 
     def __post_init__(self):
@@ -50,8 +49,19 @@ class Dataset:
             raise ValueError("points must be a nonempty (N, d) array")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("points must be finite")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be finite and nonnegative")
+        # The pipelines work on the points raw or divided by sigma, both bounded
+        # by the points divided by min(sigma, 1).  Squared distances to estimates
+        # in their convex hull, and sums of N of them, are at most N squared
+        # bounding-box diagonals; a gossip accumulator adds fewer than N^2 points.
+        with np.errstate(over="ignore"):
+            scale = self.sigma if 0 < self.sigma < 1 else 1.0
+            span = np.ptp(self.points, axis=0) / scale
+            reach = max(self.points.max(), -self.points.min()) / scale
+            bound = self.n * np.sum(span**2) + self.n**2 * reach
+        if not np.isfinite(bound):
+            raise ValueError("squared distances or sums of the points overflow float64")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
             if self.labels.shape != (self.points.shape[0],):
@@ -66,8 +76,6 @@ class Dataset:
         return self.points.shape[1]
 
     def normalized_points(self) -> np.ndarray:
-        if self.normalized:
-            return self.points
         if self.sigma == 0:
             raise ValueError("cannot normalize a noiseless dataset")
         return self.points / self.sigma
@@ -107,21 +115,20 @@ def sq_dist(a, b) -> np.ndarray:
     return acc
 
 
-def h_map(points: np.ndarray, kernel: KernelSpec, x) -> np.ndarray:
-    """Weighted mean of all points with weights kernel(||y - x||^2)."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("points must be a nonempty (N, d) array")
-    x = np.asarray(x, dtype=float)
+def h_map(points: np.ndarray, kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
+    """Weighted mean of all points with weights kernel(||y - x||^2).
+
+    Takes validated input: a Dataset's nonempty (N, d) points and a (d,) x.
+    """
     u = sq_dist(points, x)
-    w = np.atleast_1d(weight(kernel, u))
+    w = weight(kernel, u)
     total = np.sum(w)
     if total <= 0.0:
         # All weights underflowed; the ratio's limit is carried by the
         # nearest points since the kernel is decreasing.
         nearest = u == u.min()
         return points[nearest].mean(axis=0)
-    return np.asarray(points.T @ w / total, dtype=float)
+    return points.T @ w / total
 
 
 def fixed_point(points, kernel: KernelSpec, init, epsilon: float, max_iter: int = 100):
@@ -129,11 +136,10 @@ def fixed_point(points, kernel: KernelSpec, init, epsilon: float, max_iter: int 
 
     Returns (centroid, iterations, converged).  On convergence the returned
     point x satisfies ||h_map(x) - x|| <= epsilon; if max_iter is hit the last
-    iterate is returned with converged = False.
+    iterate is returned with converged = False.  Takes validated input, as
+    h_map does, and epsilon > 0.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    x = np.asarray(init, dtype=float).copy()
+    x = np.array(init, dtype=float)
     for it in range(1, max_iter + 1):
         nx = h_map(points, kernel, x)
         if np.linalg.norm(nx - x) <= epsilon:
@@ -143,11 +149,11 @@ def fixed_point(points, kernel: KernelSpec, init, epsilon: float, max_iter: int 
 
 
 def mark(points, centroid, marking_cfg: WaldConfig) -> np.ndarray:
-    """Indices of the points whose distance to the centroid passes the test."""
-    points = np.asarray(points, dtype=float)
-    if points.shape[1] != marking_cfg.d:
-        raise ValueError("marking test dimension does not match the data")
-    dist = np.sqrt(sq_dist(points, np.asarray(centroid, dtype=float)))
+    """Indices of the points whose distance to the centroid passes the test.
+
+    Takes validated input: (N, d) points, a (d,) centroid, a test of dimension d.
+    """
+    dist = np.sqrt(sq_dist(points, centroid))
     return np.flatnonzero(dist <= marking_cfg.threshold)
 
 
@@ -159,14 +165,10 @@ def fuse(centroids, support_counts, r: float, wald_cfg: WaldConfig):
 
     Pairs (k1 < k2) are scanned in lexicographic order; a merge replaces k1 by
     the midpoint, removes k2, sums the two supports, and restarts the scan.
-    Terminates since every merge shortens the list.
+    Terminates since every merge shortens the list.  Takes validated input:
+    a nonempty sequence of (d,) arrays with positive supports, and r > 0.
     """
-    cents = [np.asarray(c, dtype=float) for c in centroids]
-    counts = [float(c) for c in support_counts]
-    if not cents:
-        raise ValueError("centroid list must be nonempty")
-    if any(c <= 0 for c in counts):
-        raise ValueError("support counts must be positive")
+    cents, counts = list(centroids), list(support_counts)
     mu = wald_cfg.threshold
     merged = True
     while merged:
@@ -190,19 +192,17 @@ def classify(points, centroids) -> np.ndarray:
 
     Centroids are (K, d), or (R, K, d) for R centroid sets at once; row r of
     the (R, N) result is then classify(points, centroids[r]), bit for bit.
+    Takes validated input: (N, d) points and at least one centroid per set.
     """
-    points = np.asarray(points, dtype=float)
-    centroids = np.asarray(centroids, dtype=float)
-    if centroids.ndim not in (2, 3) or centroids.shape[-2] == 0:
-        raise ValueError("centroid list must be nonempty")
     return np.argmin(sq_dist(points[:, None, :], centroids[..., None, :, :]), axis=-1)
 
 
 def distortion(points_raw, centroids, assignments) -> float:
-    """Mean distance to the assigned centroid, raw units."""
-    points_raw = np.asarray(points_raw, dtype=float)
-    centroids = np.asarray(centroids, dtype=float)
-    dists = np.sqrt(sq_dist(points_raw, centroids[np.asarray(assignments)]))
+    """Mean distance to the assigned centroid, raw units.
+
+    Takes validated input: (N, d) points, (K, d) centroids and N indices into them.
+    """
+    dists = np.sqrt(sq_dist(points_raw, centroids[assignments]))
     return float(np.mean(dists))
 
 
@@ -221,10 +221,14 @@ def run_centrex(
     and all points classified.  Output centroids are de-normalized back to raw
     units.  Runs are reproducible for a given seed.
     """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     pts = data.normalized_points()
     n, d = pts.shape
     if kernel is None:
         kernel = KernelSpec("wald", d)
+    if kernel.d != d:
+        raise ValueError(f"kernel dimension {kernel.d} does not match the data's {d}")
     rng = np.random.default_rng(seed)
     wald_cfg = WaldConfig(d=d, gamma=gamma)
 
@@ -249,9 +253,8 @@ def run_centrex(
     r = math.sqrt(r_squared(d, method="quadrature", kernel=kernel).value)
     fused_cents, fused_counts = fuse(centroids, counts, r, wald_cfg)
     assignments = classify(pts, fused_cents)
-    scale = 1.0 if data.normalized else data.sigma
     return ClusteringResult(
-        centroids=fused_cents * scale,
+        centroids=fused_cents * data.sigma,
         assignments=assignments,
         support_counts=np.rint(fused_counts).astype(int),
         k_hat=len(fused_cents),

@@ -56,8 +56,8 @@ class SensorNetwork:
     """Vectorized state of all sensors.
 
     Per sensor: observation y, current estimate, accumulator (P, Q, c) where c
-    counts the own-observation contributions aggregated in (P, Q), marked flag,
-    and the list of centroids estimated so far.
+    counts the own-observation contributions aggregated in (P, Q), and a marked
+    flag.
 
     The accumulators are one (n, d+2) row per sensor, state = [P | Q | c], so
     a slot copies, resets and adds one array; P, Q and c are views of it.  The
@@ -85,7 +85,6 @@ class SensorNetwork:
         # Column of each entry of the flattened state.
         self.lane = np.tile(np.arange(d + 2), self.n)
         self.marked = np.zeros(self.n, dtype=bool)
-        self.phi = [[] for _ in range(self.n)]
 
     def fresh_contribution(self, idx=None):
         """Own-observation contribution (P, Q) evaluated at the current estimate."""
@@ -185,7 +184,8 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     Returns (results, log) where results[n] is the local ClusteringResult of
     sensor n (its centroid list after local fusion, and the assignment of its
     own observation only) and log aggregates message and round counts.
-    Deterministic for a given (data, config).
+    Deterministic for a given (data, config).  Sensor s's centroid list is
+    row s of the estimates taken at the end of each round.
     """
     pts = data.normalized_points()
     n, d = pts.shape
@@ -196,6 +196,7 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     wald_cfg = WaldConfig(d=d, gamma=gamma)
     net = SensorNetwork(pts, kernel)
     log = RoundLog()
+    rounds = []
 
     while not net.marked.all():
         chosen = init_round(net, rng)
@@ -203,26 +204,23 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
             for targets in block:
                 sent, _ = slot_step(net, config, targets)
                 log.messages_sent += sent
-        for s in range(n):
-            net.phi[s].append(net.estimate[s].copy())
+        rounds.append(net.estimate.copy())
         dist = np.sqrt(sq_dist(net.y, net.estimate))
         net.marked |= dist <= wald_cfg.threshold
         net.marked[chosen] = True
         log.rounds += 1
 
     # Local fusion: sensors cannot observe per-cluster supports, so each one
-    # uses the network-wide surrogate N / |phi_n|.
+    # uses the network-wide surrogate N / (number of rounds).
     r = math.sqrt(r_squared(d, method="quadrature", kernel=kernel).value)
-    scale = 1.0 if data.normalized else data.sigma
+    counts = [n / len(rounds)] * len(rounds)
     results = []
     for s in range(n):
-        phi = net.phi[s]
-        counts = [n / len(phi)] * len(phi)
-        cents, fused_counts = fuse(phi, counts, r, wald_cfg)
+        cents, fused_counts = fuse([est[s] for est in rounds], counts, r, wald_cfg)
         label = int(classify(pts[s : s + 1], cents)[0])
         results.append(
             ClusteringResult(
-                centroids=cents * scale,
+                centroids=cents * data.sigma,
                 assignments=np.array([label]),
                 support_counts=np.rint(fused_counts).astype(int),
                 k_hat=len(cents),

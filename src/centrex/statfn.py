@@ -46,8 +46,8 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.d < 1:
             raise ValueError("kernel dimension must be >= 1")
-        if self.kind == "gaussian" and self.beta <= 0:
-            raise ValueError("gaussian kernel needs beta > 0")
+        if self.kind == "gaussian" and not 0 < self.beta < np.inf:
+            raise ValueError("gaussian kernel needs a finite beta > 0")
 
 
 @dataclass(frozen=True)
@@ -96,22 +96,16 @@ def threshold_mu(d: int, gamma: float) -> float:
 
 
 def weight(kernel: KernelSpec, u):
-    """Evaluate the kernel at squared distance u.  Accepts scalars or arrays.
+    """Evaluate the kernel at squared distances u, a float or an array of them.
 
     The p-value kernel is marcum_q(d/2, sqrt(u/2)); the gaussian kernel is
-    exp(-beta * u).  Values lie in (0, 1] and decrease in u.
+    exp(-beta * u).  Values lie in (0, 1] and decrease in u.  Takes validated
+    input: u finite and nonnegative, as every distance between the points of
+    a Dataset is.
     """
-    u_arr = np.asarray(u, dtype=float)
-    # NaN fails both comparisons, so this one test rejects it too.
-    if not ((u_arr >= 0) & (u_arr < np.inf)).all():
-        raise ValueError("squared distance must be finite and nonnegative")
     if kernel.kind == "wald":
-        out = gammaincc(0.5 * kernel.d, 0.25 * u_arr)
-    else:
-        out = np.exp(-kernel.beta * u_arr)
-    if np.isscalar(u) or u_arr.ndim == 0:
-        return float(out)
-    return out
+        return gammaincc(0.5 * kernel.d, 0.25 * u)
+    return np.exp(-kernel.beta * u)
 
 
 @functools.lru_cache(maxsize=None)

@@ -27,9 +27,8 @@ class WaldConfig:
 
 
 def fusion_sigma(r: float, n_k: int, n_l: int) -> float:
-    """Scale of the difference of two centroid estimates with supports n_k, n_l."""
-    if n_k <= 0 or n_l <= 0:
-        raise ValueError("support counts must be positive")
-    if r <= 0:
-        raise ValueError("r must be positive")
+    """Scale of the difference of two centroid estimates with supports n_k, n_l.
+
+    Takes validated input: r > 0 and positive supports, as fuse passes them.
+    """
     return r * math.sqrt(1.0 / n_k + 1.0 / n_l)

@@ -44,12 +44,34 @@ def _one_dimensional():
     return Dataset(points=pts, sigma=1.0)
 
 
+def _overflowing():
+    # Squared distances of 1e400 overflow float64.
+    return Dataset(points=[[0.0, 0.0], [1e200, 0.0], [1.0, 1.0], [1e200, 1.0]], sigma=1.0)
+
+
+def _far_from_origin():
+    # Distances are small, but a sum of 20 points near 1e307 overflows.
+    rng = np.random.default_rng(2)
+    return Dataset(points=np.column_stack([np.full(20, 1e307), rng.normal(size=20)]), sigma=1.0)
+
+
 NOISELESS = "cannot normalize a noiseless dataset"
+OVERFLOW = "overflow float64"
 
 # (dataset, {pipeline: set of k_hat over its results, or the error message}).
-# K-means has a fixed k and runs on every input.
+# K-means has a fixed k and runs on every input that Dataset accepts; Dataset
+# rejects points whose squared distances or sums overflow, so no pipeline sees
+# them.
 CASES = {
     "noiseless": (_noiseless, {"centrex": NOISELESS, "decentrex": NOISELESS}),
+    "overflowing": (
+        _overflowing,
+        {"centrex": OVERFLOW, "decentrex": OVERFLOW, "kmeans10": OVERFLOW},
+    ),
+    "far_from_origin": (
+        _far_from_origin,
+        {"centrex": OVERFLOW, "decentrex": OVERFLOW, "kmeans10": OVERFLOW},
+    ),
     "identical": (_identical, {"centrex": {1}, "decentrex": {1}}),
     "dim_exceeds_count": (_dim_exceeds_count, {"centrex": {1}, "decentrex": {1}}),
     "one_dimensional": (_one_dimensional, {"centrex": {2}, "decentrex": {2}}),

@@ -53,10 +53,6 @@ class TestHMap:
         assert pts.min(0)[0] <= out[0] <= pts.max(0)[0]
         assert pts.min(0)[1] <= out[1] <= pts.max(0)[1]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            h_map(np.empty((0, 2)), KERNEL2, np.zeros(2))
-
 
 class TestFixedPoint:
     def test_fixed_input_returns_immediately(self):
@@ -206,11 +202,6 @@ class TestClassify:
                 assert np.array_equal(got[r], classify(pts, cents[r]))
             assert not np.any(got[1] == 3) and np.all(got[2] == 0)
 
-    @pytest.mark.parametrize("cents", [[], np.empty((0, 2)), np.empty((3, 0, 2))])
-    def test_empty_centroid_list_rejected(self, cents):
-        with pytest.raises(ValueError):
-            classify(np.zeros((4, 2)), cents)
-
 
 class TestRunCentrex:
     def _four_cluster_data(self, seed, sigma=1.0):
@@ -254,7 +245,7 @@ class TestRunCentrex:
         sigma = 2.5
         data, labels = self._four_cluster_data(5, sigma=sigma)
         res_raw = run_centrex(data, seed=11)
-        pre = Dataset(points=data.points / sigma, sigma=1.0, normalized=True, labels=labels)
+        pre = Dataset(points=data.points / sigma, sigma=1.0, labels=labels)
         res_norm = run_centrex(pre, seed=11)
         assert res_raw.k_hat == res_norm.k_hat
         assert np.array_equal(res_raw.assignments, res_norm.assignments)
@@ -281,6 +272,39 @@ class TestRunCentrex:
         assert res.converged_per_centroid
         assert len(res.converged_per_centroid) == len(res.iterations_per_centroid)
         assert all(res.converged_per_centroid)
+
+
+def _two_clusters():
+    rng = np.random.default_rng(0)
+    pts = np.concatenate([_cluster(rng, [0, 0], 20), _cluster(rng, [10, 10], 20)])
+    return Dataset(points=pts, sigma=1.0)
+
+
+# Input that the stages take unchecked, and the message of the entry point
+# that rejects it.
+ENTRY_REJECTS = {
+    "kernel_dimension": (
+        lambda: run_centrex(_two_clusters(), kernel=KernelSpec("wald", 7)),
+        "kernel dimension",
+    ),
+    "epsilon_zero": (lambda: run_centrex(_two_clusters(), epsilon=0.0), "epsilon"),
+    "epsilon_negative": (lambda: run_centrex(_two_clusters(), epsilon=-1e-2), "epsilon"),
+    "epsilon_nan": (lambda: run_centrex(_two_clusters(), epsilon=np.nan), "epsilon"),
+    "beta_inf": (lambda: KernelSpec("gaussian", 2, beta=np.inf), "beta"),
+    "beta_nan": (lambda: KernelSpec("gaussian", 2, beta=np.nan), "beta"),
+    "sigma_nan": (lambda: Dataset(points=np.zeros((3, 2)), sigma=np.nan), "sigma"),
+    "sigma_inf": (lambda: Dataset(points=np.zeros((3, 2)), sigma=np.inf), "sigma"),
+    "empty": (lambda: Dataset(points=np.empty((0, 2)), sigma=1.0), "nonempty"),
+    "nan": (lambda: Dataset(points=[[0.0, 0.0], [np.nan, 1.0]], sigma=1.0), "finite"),
+    "inf": (lambda: Dataset(points=[[0.0, 0.0], [-np.inf, 1.0]], sigma=1.0), "finite"),
+}
+
+
+@pytest.mark.parametrize("case", ENTRY_REJECTS)
+def test_entry_rejects(case):
+    enter, message = ENTRY_REJECTS[case]
+    with pytest.raises(ValueError, match=message):
+        enter()
 
 
 class TestFixedPointUniqueness:

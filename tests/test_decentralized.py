@@ -119,7 +119,7 @@ class TestSlotStep:
         for seed in range(trials):
             rng = np.random.default_rng(1000 + seed)
             pts = np.array([10.0, 10.0]) + rng.standard_normal((400, 2))
-            data = Dataset(points=pts, sigma=1.0, normalized=True)
+            data = Dataset(points=pts, sigma=1.0)
             cfg = NetworkConfig(n_sensors=400, T=300, L=30, seed=seed)
             results, _ = run_decentrex(data, cfg)
             assigned = np.array([r.centroids[r.assignments[0]] for r in results])

@@ -50,7 +50,3 @@ class TestFusionSigma:
         base = fusion_sigma(1.0, n_k, n_l)
         assert fusion_sigma(1.0, n_k + 1, n_l) < base
         assert fusion_sigma(1.0, n_k, n_l + 1) < base
-
-    def test_zero_counts_rejected(self):
-        with pytest.raises(ValueError):
-            fusion_sigma(1.0, 0, 5)
