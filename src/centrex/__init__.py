@@ -13,7 +13,6 @@ from .baselines import KMeansConfig, centrex_gaussian, kmeans_lloyd, kmeans_repl
 from .centralized import ClusteringResult, Dataset, run_centrex, sigma_lim
 from .decentralized import NetworkConfig, RoundLog, run_decentrex
 from .harness import ExperimentConfig, classification_error, generate_dataset, run_experiment
-from .statfn import KernelSpec, RSquared, marcum_q, r_squared, threshold_mu
-from .wald import WaldConfig
+from .statfn import KernelSpec, WaldConfig, marcum_q, r_squared, threshold_mu
 
 __version__ = "0.1.0"

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statfn import KernelSpec, r_squared, threshold_mu, weight
-from .wald import WaldConfig, fusion_sigma
+from .statfn import KernelSpec, WaldConfig, fusion_sigma, r_squared, threshold_mu, weight
 
 __all__ = [
     "Dataset",
@@ -234,7 +233,7 @@ def run_centrex(
 
     marked = np.zeros(n, dtype=bool)
     centroids = []
-    marked_sets = []
+    counts = []
     iters_per = []
     converged_per = []
     while not marked.all():
@@ -245,12 +244,11 @@ def run_centrex(
         marked[mk] = True
         marked[start] = True
         centroids.append(theta)
-        marked_sets.append(set(mk.tolist()) | {start})
+        counts.append(len(mk) + int(start not in mk))
         iters_per.append(iters)
         converged_per.append(converged)
 
-    counts = [len(s) for s in marked_sets]
-    r = math.sqrt(r_squared(d, method="quadrature", kernel=kernel).value)
+    r = math.sqrt(r_squared(kernel))
     fused_cents, fused_counts = fuse(centroids, counts, r, wald_cfg)
     assignments = classify(pts, fused_cents)
     return ClusteringResult(

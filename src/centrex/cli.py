@@ -19,7 +19,7 @@ import os
 import sys
 
 from .harness import ExperimentConfig, run_experiment
-from .statfn import r_squared
+from .statfn import KernelSpec, r_squared
 
 
 def _add_run_subcommand(subparsers, name, help_text):
@@ -54,10 +54,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "rsq":
-            result = r_squared(
-                args.dim, method=args.method, sample_count=args.samples, seed=args.seed
-            )
-            print(f"{result.value:.10g}")
+            kernel = KernelSpec("wald", args.dim)
+            value = r_squared(kernel, args.method, sample_count=args.samples, seed=args.seed)
+            print(f"{value:.10g}")
             return 0
         config = ExperimentConfig.from_json(args.config)
         env_seed = os.environ.get("CENTREX_SEED")

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centralized import ClusteringResult, Dataset, classify, fuse, sq_dist
-from .statfn import KernelSpec, r_squared, weight
-from .wald import WaldConfig
+from .centralized import ClusteringResult, Dataset, classify, fuse, mark, sq_dist
+from .statfn import KernelSpec, WaldConfig, r_squared, weight
 
 __all__ = [
     "NetworkConfig",
@@ -205,14 +204,13 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
                 sent, _ = slot_step(net, config, targets)
                 log.messages_sent += sent
         rounds.append(net.estimate.copy())
-        dist = np.sqrt(sq_dist(net.y, net.estimate))
-        net.marked |= dist <= wald_cfg.threshold
+        net.marked[mark(net.y, net.estimate, wald_cfg)] = True
         net.marked[chosen] = True
         log.rounds += 1
 
     # Local fusion: sensors cannot observe per-cluster supports, so each one
     # uses the network-wide surrogate N / (number of rounds).
-    r = math.sqrt(r_squared(d, method="quadrature", kernel=kernel).value)
+    r = math.sqrt(r_squared(kernel))
     counts = [n / len(rounds)] * len(rounds)
     results = []
     for s in range(n):

@@ -69,6 +69,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self._check_types()
+        # Ranges are checked here, so a bad value stops the sweep before any cell runs.
+        if not all(0 <= s < np.inf for s in self.sigmas):
+            raise ValueError(f"sigmas must be finite and nonnegative, got {self.sigmas!r}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not 0 < self.gamma < 1:
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma!r}")
+        if not 0 < self.beta < np.inf:
+            raise ValueError(f"beta must be finite and positive, got {self.beta!r}")
         if self.scenario == "dim2k4":
             self.d, self.k = 2, 4
             self.centroids = self.scale_a * _DIM2_LAYOUT
@@ -139,7 +148,7 @@ def generate_dataset(config: ExperimentConfig, trial_seed, sigma=None) -> Datase
     return Dataset(points=points, sigma=sigma, labels=labels)
 
 
-def classification_error(true_labels, assignments, k_true=None, k_hat=None) -> float:
+def classification_error(true_labels, assignments, k_true, k_hat) -> float:
     """Error probability after optimally matching estimated to true clusters.
 
     Builds the k_true x k_hat contingency matrix, finds the one-to-one
@@ -150,10 +159,6 @@ def classification_error(true_labels, assignments, k_true=None, k_hat=None) -> f
     assignments = np.asarray(assignments, dtype=int)
     if true_labels.shape != assignments.shape:
         raise ValueError("label arrays must have equal length")
-    if k_true is None:
-        k_true = int(true_labels.max()) + 1
-    if k_hat is None:
-        k_hat = int(assignments.max()) + 1
     # Stray labels beyond k_hat still occupy a column; an unmatched column
     # just counts as errors, which is the intended semantics.
     k_hat = max(k_hat, int(assignments.max()) + 1)
@@ -220,8 +225,6 @@ def _run_algorithm(name, config, data, seed) -> _Cell:
 
 
 def _as_int_seed(seed_seq) -> int:
-    if isinstance(seed_seq, (int, np.integer)):
-        return int(seed_seq)
     return int(seed_seq.generate_state(1)[0])
 
 

@@ -5,12 +5,16 @@ take an explicit seed.  The two constants that cost a root solve or a
 quadrature, threshold_mu and r_squared, are therefore memoized by value: each
 is computed on its first call with given arguments and reused for the rest of
 the process.
+
+One norm test marks points (WaldConfig), weights them (its p-value, weight)
+and, scaled by fusion_sigma, merges centroids.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
@@ -20,7 +24,8 @@ from scipy.stats import chi2
 
 __all__ = [
     "KernelSpec",
-    "RSquared",
+    "WaldConfig",
+    "fusion_sigma",
     "marcum_q",
     "threshold_mu",
     "weight",
@@ -48,20 +53,6 @@ class KernelSpec:
             raise ValueError("kernel dimension must be >= 1")
         if self.kind == "gaussian" and not 0 < self.beta < np.inf:
             raise ValueError("gaussian kernel needs a finite beta > 0")
-
-
-@dataclass(frozen=True)
-class RSquared:
-    """Variance-inflation constant E[w^2]/E[w]^2 under standard Gaussian noise."""
-
-    value: float
-    d: int
-    method: str
-    sample_count: int | None = None
-
-    def __post_init__(self):
-        if self.value < 1.0 - 1e-9:
-            raise ValueError("r^2 cannot be below 1 (Jensen)")
 
 
 def marcum_q(a: float, x: float) -> float:
@@ -95,6 +86,30 @@ def threshold_mu(d: int, gamma: float) -> float:
     return float(brentq(f, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
 
 
+@dataclass(frozen=True)
+class WaldConfig:
+    """Test of zero mean for a N(xi, I_d) observation at level gamma.
+
+    The zero-mean hypothesis is accepted iff the norm is at most threshold,
+    the mu with marcum_q(d/2, mu) = gamma; it is solved once, at construction.
+    """
+
+    d: int
+    gamma: float
+    threshold: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "threshold", threshold_mu(self.d, self.gamma))
+
+
+def fusion_sigma(r: float, n_k: int, n_l: int) -> float:
+    """Scale of the difference of two centroid estimates with supports n_k, n_l.
+
+    Takes validated input: r > 0 and positive supports, as fuse passes them.
+    """
+    return r * math.sqrt(1.0 / n_k + 1.0 / n_l)
+
+
 def weight(kernel: KernelSpec, u):
     """Evaluate the kernel at squared distances u, a float or an array of them.
 
@@ -110,22 +125,16 @@ def weight(kernel: KernelSpec, u):
 
 @functools.lru_cache(maxsize=None)
 def r_squared(
-    d: int,
-    method: str = "quadrature",
-    sample_count: int = 10000,
-    seed: int = 0,
-    kernel: KernelSpec | None = None,
-) -> RSquared:
-    """Variance-inflation constant r^2 = E[w(S)^2] / E[w(S)]^2 with S ~ chi2_d.
+    kernel: KernelSpec, method: str = "quadrature", sample_count: int = 10000, seed: int = 0
+) -> float:
+    """Variance-inflation constant r^2 = E[w(S)^2] / E[w(S)]^2 of the kernel's
+    weight w, with S ~ chi2_d and d = kernel.d.
 
     The quadrature method integrates both expectations against the chi2_d
     density (deterministic); the Monte-Carlo method averages over seeded
     standard Gaussian draws.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if kernel is None:
-        kernel = KernelSpec("wald", d)
+    d = kernel.d
     if method == "quadrature":
         upper = float(chi2.isf(1e-16, d))
 
@@ -140,14 +149,16 @@ def r_squared(
             )
             return val
 
-        value = ew(2) / ew(1) ** 2
-        return RSquared(value=float(value), d=d, method="quadrature")
-    if method == "montecarlo":
+        value = float(ew(2) / ew(1) ** 2)
+    elif method == "montecarlo":
         if sample_count < 1000:
             raise ValueError("montecarlo needs at least 1000 samples")
         rng = np.random.default_rng(seed)
         s = np.sum(rng.standard_normal((sample_count, d)) ** 2, axis=1)
         w = weight(kernel, s)
         value = float(np.mean(w**2) / np.mean(w) ** 2)
-        return RSquared(value=value, d=d, method="montecarlo", sample_count=sample_count)
-    raise ValueError(f"unknown method {method!r}")
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if value < 1.0 - 1e-9:
+        raise ValueError("r^2 cannot be below 1 (Jensen)")
+    return value

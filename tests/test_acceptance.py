@@ -15,8 +15,7 @@ import pytest
 from centrex.centralized import fixed_point, h_map, mark, sigma_lim
 from centrex.decentralized import NetworkConfig, SensorNetwork, _target_blocks, init_round, slot_step
 from centrex.harness import ExperimentConfig, classification_error, run_experiment
-from centrex.statfn import KernelSpec, marcum_q, r_squared, threshold_mu
-from centrex.wald import WaldConfig
+from centrex.statfn import KernelSpec, WaldConfig, marcum_q, r_squared, threshold_mu
 
 from oracles import brute_force_matching_error
 
@@ -127,8 +126,8 @@ def test_criterion_1_special_functions():
 
 def test_criterion_2_r_squared():
     t0 = time.perf_counter()
-    quad = r_squared(2, method="quadrature").value
-    mc = r_squared(2, method="montecarlo", sample_count=10_000, seed=0).value
+    quad = r_squared(KernelSpec("wald", 2), method="quadrature")
+    mc = r_squared(KernelSpec("wald", 2), method="montecarlo", sample_count=10_000, seed=0)
     elapsed = time.perf_counter() - t0
     ok = abs(quad - 9 / 8) <= 1e-6 and abs(mc - 9 / 8) <= 0.05 and elapsed < 5.0
     _report(2, "variance-inflation constant", ok, f"quad={quad:.8f}, mc={mc:.4f}")

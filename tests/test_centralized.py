@@ -15,8 +15,7 @@ from centrex.centralized import (
     sq_dist,
 )
 from centrex.harness import ExperimentConfig, generate_dataset
-from centrex.statfn import KernelSpec, r_squared, threshold_mu, weight
-from centrex.wald import WaldConfig
+from centrex.statfn import KernelSpec, WaldConfig, r_squared, threshold_mu, weight
 
 from oracles import direct_h_map
 
@@ -91,7 +90,7 @@ class TestFixedPoint:
             rng = np.random.default_rng(10_000 + seed)
             pts = _cluster(rng, [0.0, 0.0], n)
             estimates[seed], _, _ = fixed_point(pts, KERNEL2, pts[0], epsilon=1e-3)
-        expected = r_squared(2).value / n
+        expected = r_squared(KERNEL2) / n
         for axis in range(2):
             assert estimates[:, axis].var() == pytest.approx(expected, rel=0.25)
 

@@ -94,3 +94,22 @@ def test_malformed_config_is_an_error(tmp_path, capsys, raw, reason):
     assert main(["centrex", "run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and reason in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rsq", "--dim", "0"], ["rsq", "--dim", "2", "--method", "montecarlo", "--samples", "10"]],
+    ids=["dim_zero", "too_few_samples"],
+)
+def test_rsq_bad_arguments_exit_code(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_sweep_out_of_range_config_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "dim2k4", "sigmas": [1.0, 2.0, -1.0]}))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out_dir)]) == 1
+    assert "sigmas" in capsys.readouterr().err
+    assert not (out_dir / "results.csv").exists()

@@ -38,6 +38,22 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(scenario="dim2k4", n=401)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"sigmas": (1.0, 2.0, -1.0)}, "sigmas"),
+            ({"sigmas": (1.0, math.nan)}, "sigmas"),
+            ({"epsilon": 0.0}, "epsilon"),
+            ({"gamma": 1.5}, "gamma"),
+            ({"beta": 0.0}, "beta"),
+        ],
+        ids=["sigma_negative", "sigma_nan", "epsilon_zero", "gamma_above_one", "beta_zero"],
+    )
+    def test_out_of_range_rejected_before_any_cell(self, fields, name):
+        # Rejected when the config is built, so no cell of a sweep has run yet.
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(scenario="dim2k4", trials=2, algorithms=("kmeans100",), **fields)
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(

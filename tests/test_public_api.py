@@ -1,13 +1,20 @@
 """Every exported name resolves, so a deletion cannot leave a stale export."""
 
 import importlib
+import pkgutil
 
 import pytest
 
+import centrex
 
-@pytest.mark.parametrize(
-    "name", ["statfn", "wald", "centralized", "decentralized", "baselines", "harness"]
-)
+MODULES = [
+    info.name
+    for info in pkgutil.iter_modules(centrex.__path__)
+    if hasattr(importlib.import_module(f"centrex.{info.name}"), "__all__")
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
     module = importlib.import_module(f"centrex.{name}")
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centrex
-from centrex.statfn import KernelSpec, RSquared, marcum_q, r_squared, threshold_mu, weight
+from centrex import statfn
+from centrex.statfn import KernelSpec, marcum_q, r_squared, threshold_mu, weight
 
 from oracles import chi2_survival
 
@@ -96,33 +97,35 @@ class TestWeight:
 class TestRSquared:
     def test_d2_analytic(self):
         # ||X||^2 ~ Exp(1/2) for d=2, so E[w] = 2/3, E[w^2] = 1/2, ratio 9/8.
-        assert r_squared(2).value == pytest.approx(1.125, abs=1e-6)
+        assert r_squared(KernelSpec("wald", 2)) == pytest.approx(1.125, abs=1e-6)
 
     def test_montecarlo_agrees(self):
-        mc = r_squared(2, method="montecarlo", sample_count=10000, seed=123)
-        assert mc.value == pytest.approx(1.125, abs=0.05)
-        assert mc.sample_count == 10000
+        mc = r_squared(KernelSpec("wald", 2), method="montecarlo", sample_count=10000, seed=123)
+        assert mc == pytest.approx(1.125, abs=0.05)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 20, 100])
     def test_jensen_lower_bound(self, d):
-        assert r_squared(d).value >= 1.0
+        assert r_squared(KernelSpec("wald", d)) >= 1.0
 
     def test_montecarlo_seed_determinism(self):
         # r_squared is memoized, so the second value is computed uncached.
-        a = r_squared(3, method="montecarlo", seed=7).value
-        b = r_squared.__wrapped__(3, method="montecarlo", seed=7).value
+        a = r_squared(KernelSpec("wald", 3), method="montecarlo", seed=7)
+        b = r_squared.__wrapped__(KernelSpec("wald", 3), method="montecarlo", seed=7)
         assert a == b
 
     def test_gaussian_kernel_closed_form(self):
         # E[exp(-b S)] = (1+2b)^(-d/2) for S ~ chi2_d.
         d, b = 4, 0.5
         want = ((1 + 2 * b) ** 2 / (1 + 4 * b)) ** (d / 2)
-        got = r_squared(d, kernel=KernelSpec("gaussian", d, beta=b)).value
+        got = r_squared(KernelSpec("gaussian", d, beta=b))
         assert got == pytest.approx(want, rel=1e-8)
 
-    def test_invalid_value_rejected(self):
-        with pytest.raises(ValueError):
-            RSquared(value=0.5, d=2, method="quadrature")
+    def test_invalid_value_rejected(self, monkeypatch):
+        # A quadrature giving 2 for both expectations makes r^2 = 2 / 2^2 = 0.5,
+        # below Jensen's bound of 1, which r_squared must refuse.
+        monkeypatch.setattr(statfn.integrate, "quad", lambda *a, **k: (2.0, 0.0))
+        with pytest.raises(ValueError, match="Jensen"):
+            r_squared.__wrapped__(KernelSpec("wald", 2))
 
 
 class TestScoreFunctionBoundedness:
@@ -184,9 +187,9 @@ class TestGaussianMomentIdentities:
 class TestMemoizedConstants:
     def test_r_squared_returns_one_object_per_arguments(self):
         kernel = KernelSpec("gaussian", 3, beta=0.5)
-        first = r_squared(3, kernel=kernel)
-        assert r_squared(3, kernel=KernelSpec("gaussian", 3, beta=0.5)) is first
-        assert r_squared.__wrapped__(3, kernel=kernel) == first
+        first = r_squared(kernel)
+        assert r_squared(KernelSpec("gaussian", 3, beta=0.5)) is first
+        assert r_squared.__wrapped__(kernel) == first
 
     def test_threshold_mu_returns_one_float_per_arguments(self):
         first = threshold_mu(7, 1e-4)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centrex.statfn import marcum_q
-from centrex.wald import WaldConfig, fusion_sigma
+from centrex.statfn import WaldConfig, fusion_sigma, marcum_q
 
 
 class TestWaldConfig:
