@@ -18,10 +18,12 @@ __all__ = [
     "centrex_gaussian",
 ]
 
-# Bytes allowed for the (chunk, N, K, d) floats of one batched Lloyd step: 40
-# replicates of dim2k4 at N = 400, one of dim100k10.  From d = 8 on classify
-# holds two temporaries of that shape; below, sq_dist sums one coordinate at a
-# time and holds at most three (chunk, N, K) arrays, 3 / d BUDGET in all.
+# Bytes allowed for the largest temporaries of one batched Lloyd step.  Below
+# d = 8 classify holds (chunk, N, K) arrays, at most three, and a chunk's
+# (chunk, N, K, d) floats fit in BUDGET: 40 replicates of dim2k4 at N = 400.
+# From d = 8 on classify holds one (N, chunk, K) float array, which fits in
+# BUDGET: all 100 replicates of dim100k10 at N = 100.  The centroid sums add
+# (sub, N, d) floats and their indices, together within BUDGET.
 BUDGET = 1 << 20
 
 
@@ -80,39 +82,52 @@ def _reseed(points, centroids, assign):
             centroids[j] = points[members].mean(axis=0)
 
 
+def _update(points, centroids, active, assign):
+    """Move the centroids of replicates `active` to their cluster means, in
+    place; a replicate with an empty cluster is reseeded instead."""
+    n, d = points.shape
+    k = centroids.shape[1]
+    slot = assign + k * np.arange(len(active))[:, None]
+    counts = np.bincount(slot.ravel(), minlength=len(active) * k).reshape(-1, k)
+    # Flat add.at sums each cluster's coordinates in point order, exactly as
+    # the axis-0 sum inside points[members].mean(axis=0).  Replicates' slots
+    # are disjoint, so sub of them at a time give the same sums.
+    sums = np.zeros(len(active) * k * d)
+    sub = max(1, BUDGET // (16 * n * d))
+    for lo in range(0, len(active), sub):
+        part = slot[lo : lo + sub]
+        np.add.at(
+            sums,
+            (part[:, :, None] * d + np.arange(d)).ravel(),
+            np.broadcast_to(points, (len(part), n, d)).ravel(),
+        )
+    sums = sums.reshape(-1, k, d)
+    sums /= np.maximum(counts, 1)[:, :, None]  # in place: no second (chunk, K, d) array
+    full = counts.all(axis=1)
+    centroids[active[full]] = sums[full]
+    for i in np.flatnonzero(~full):
+        _reseed(points, centroids[active[i]], assign[i])
+
+
 def _batched_lloyd(points, centroids, max_iter):
     """Alternate assignment/update from each of R seed sets, given as
     centroids (R, K, d) and updated in place, until that replicate's
     assignments stabilize.
 
-    Replicates run in chunks whose (chunk, N, K, d) floats fit in BUDGET
-    bytes, and leave their chunk once converged.  Returns assignments
-    (R, N) and iteration counts (R,).
+    Replicates run in chunks sized by BUDGET, and leave their chunk once
+    converged.  Returns assignments (R, N) and iteration counts (R,).
     """
     reps, k, d = centroids.shape
     n = points.shape[0]
     assignments = np.empty((reps, n), dtype=np.intp)
     iterations = np.full(reps, max_iter)
-    chunk = max(1, BUDGET // (8 * n * k * d))
+    chunk = max(1, BUDGET // (8 * n * k * (d if d < 8 else 1)))
     for start in range(0, reps, chunk):
         active = np.arange(start, min(start + chunk, reps))
         prev = None
         for it in range(1, max_iter + 1):
             assign = classify(points, centroids[active])
-            slot = assign + k * np.arange(len(active))[:, None]
-            counts = np.bincount(slot.ravel(), minlength=len(active) * k).reshape(-1, k)
-            # One flat add.at sums each cluster's coordinates in point order,
-            # exactly as the axis-0 sum inside points[members].mean(axis=0).
-            sums = np.zeros(len(active) * k * d)
-            np.add.at(
-                sums,
-                (slot[:, :, None] * d + np.arange(d)).ravel(),
-                np.broadcast_to(points, (len(active), n, d)).ravel(),
-            )
-            full = counts.all(axis=1)
-            centroids[active[full]] = sums.reshape(-1, k, d)[full] / counts[full, :, None]
-            for i in np.flatnonzero(~full):
-                _reseed(points, centroids[active[i]], assign[i])
+            _update(points, centroids, active, assign)
             if prev is not None:
                 done = (assign == prev).all(axis=1)
                 assignments[active[done]] = assign[done]

@@ -192,8 +192,68 @@ def classify(points, centroids) -> np.ndarray:
     Centroids are (K, d), or (R, K, d) for R centroid sets at once; row r of
     the (R, N) result is then classify(points, centroids[r]), bit for bit.
     Takes validated input: (N, d) points and at least one centroid per set.
+
+    The result is always np.argmin of the sq_dist values.  Below d = 8 they
+    are computed for every pair.  From d = 8 on a point takes the argmin b of
+    G = ||x||^2 + ||c||^2 - 2 x.c, one matmul over all R K centroids, where
+    a rounding-error bound certifies it, and the sq_dist argmin, computed for
+    that point and set alone, where it does not.
+
+    The certificate (bounds as in Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 3).  Let u = 2^-53, gamma_n =
+    n u / (1 - n u), and X = ||x||^2, C_j = ||c_j||^2, P_j = x.c_j and
+    D_j = X + C_j - 2 P_j exactly; a product that underflows adds an
+    absolute error up to eta = 2^-1075 (sums and differences that underflow
+    are exact).  In any summation order, and with or without FMA:
+      sq_dist    |D^_j - D_j| <= gamma_{d+2} D_j + 2 d eta,
+      X^, C^_j   |X^ - X| <= gamma_d X + 2 d eta,
+      matmul     |P^_j - P_j| <= gamma_d sum |x_i c_ji| + 2 d eta
+                               <= gamma_d (X + C_j) / 2 + 2 d eta,
+    and adding the three terms of G^_j in any order gives
+    |G^_j - D_j| <= 2 gamma_{d+2} (X + C_j) + 10 d eta.  As D_j <= 2 (X + C_j),
+    |G^_j - D^_j| <= 4 gamma_{d+2} (X + C_j) + 12 d eta =: E_j.  So if
+    G^_j - G^_b > E_j + E_b for every j != b, then D^_j > D^_b: b is the
+    sq_dist argmin and the unique one, so no tie rule is involved (with
+    K = 1 there is no j, and b = 0 is certified).  The code tests
+    G^_j - c1 C^_j > G^_b + c1 C^_b + 2 c1 X^ + (d + 2) 2^-1068 with
+    c1 = 8 (d + 2) u, at least twice E_j + E_b, which leaves room for the
+    rounding of the test itself while (d + 2) u < 0.1.  A tie fails the
+    strict test.
+    Squared norms above 2^1020 (or NaN) skip the test, so nothing in it
+    overflows, and every point of every set is then recomputed with sq_dist,
+    in blocks of at most 2^17 floats.
     """
-    return np.argmin(sq_dist(points[:, None, :], centroids[..., None, :, :]), axis=-1)
+    d, k = points.shape[-1], centroids.shape[-2]
+    if d < 8:
+        return np.argmin(sq_dist(points[:, None, :], centroids[..., None, :, :]), axis=-1)
+    lead, n = centroids.shape[:-2], points.shape[0]
+    sets = centroids.reshape(-1, k, d)
+    flat = sets.reshape(-1, d)
+    xx = np.einsum("ij,ij->i", points, points)
+    cc = np.einsum("ij,ij->i", flat, flat)
+    best = np.zeros((n, len(sets)), dtype=np.intp)
+    certified = np.zeros(best.shape, dtype=bool)
+    if xx.max() <= 2.0**1020 and cc.max() <= 2.0**1020:
+        g = points @ flat.T
+        g *= -2.0
+        g += cc
+        g += xx[:, None]
+        g = g.reshape(n, len(sets), k)
+        best = np.argmin(g, axis=-1)
+        c1 = 8 * (d + 2) * 2.0**-53
+        ec = (c1 * cc).reshape(len(sets), k)
+        upper = g.min(axis=-1)
+        upper += ec[np.arange(len(sets)), best]
+        upper += (2 * c1) * xx[:, None] + (d + 2) * 2.0**-1068
+        g -= ec
+        g.reshape(-1, k)[np.arange(best.size), best.ravel()] = np.inf
+        certified = upper < g.min(axis=-1)
+    rows, cols = np.nonzero(~certified)
+    step = max(1, (1 << 17) // (k * d))
+    for lo in range(0, len(rows), step):
+        i, r = rows[lo : lo + step], cols[lo : lo + step]
+        best[i, r] = np.argmin(sq_dist(points[i, None, :], sets[r]), axis=-1)
+    return np.moveaxis(best.reshape((n,) + lead), 0, -1)
 
 
 def distortion(points_raw, centroids, assignments) -> float:

@@ -58,10 +58,13 @@ def main(argv=None) -> int:
             value = r_squared(kernel, args.method, sample_count=args.samples, seed=args.seed)
             print(f"{value:.10g}")
             return 0
-        config = ExperimentConfig.from_json(args.config)
+        with open(args.config) as fh:
+            raw = json.load(fh)
         env_seed = os.environ.get("CENTREX_SEED")
-        if env_seed is not None:
-            config.seed = int(env_seed)
+        if env_seed is not None and isinstance(raw, dict):
+            # Set before the config is built, which draws a dim100k10 layout from it.
+            raw["seed"] = int(env_seed)
+        config = ExperimentConfig.from_mapping(raw)
         if args.command in ("centrex", "decentrex"):
             config.algorithms = (args.command,)
         elif args.command == "kmeans":

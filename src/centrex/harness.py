@@ -120,7 +120,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            raw = json.load(fh)
+            return cls.from_mapping(json.load(fh))
+
+    @classmethod
+    def from_mapping(cls, raw) -> "ExperimentConfig":
+        """Config from a parsed JSON object: lists become tuples, centroids an array."""
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})

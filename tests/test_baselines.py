@@ -13,7 +13,7 @@ from centrex.baselines import (
     kmeans_replicated,
     kmeanspp_seed,
 )
-from centrex.centralized import Dataset, classify, distortion, h_map
+from centrex.centralized import Dataset, classify, distortion, h_map, sigma_lim
 from centrex.harness import ExperimentConfig, classification_error, generate_dataset
 from centrex.statfn import KernelSpec
 
@@ -143,6 +143,10 @@ def _scenario_data(scenario, sigma, trial):
     return generate_dataset(ExperimentConfig(scenario=scenario, n=n, sigmas=(sigma,)), trial)
 
 
+# sigma_lim of the dim100k10 layout drawn from seed 0.
+_LIM100 = sigma_lim(ExperimentConfig(scenario="dim100k10", n=100).centroids, 1e-3, 100)
+
+
 def _duplicate_points():
     """Five distinct points, each repeated, so seeds coincide and clusters empty."""
     rng = np.random.default_rng(11)
@@ -158,7 +162,15 @@ class TestBatchedLloydMatchesOracle:
     @pytest.mark.parametrize("replicates", [1, 7, 100])
     @pytest.mark.parametrize("init", ["uniform", "plusplus"])
     @pytest.mark.parametrize(
-        "scenario, sigma", [("dim2k4", 1.0), ("dim2k4", 2.5), ("dim100k10", 1.0)]
+        "scenario, sigma",
+        [
+            ("dim2k4", 1.0),
+            ("dim2k4", 2.5),
+            ("dim100k10", 1.0),
+            # Overlapping clusters, where near-ties in classify occur.
+            pytest.param("dim100k10", 0.55 * _LIM100, id="dim100k10-0.55lim"),
+            pytest.param("dim100k10", 1.05 * _LIM100, id="dim100k10-1.05lim"),
+        ],
     )
     def test_replicated(self, scenario, sigma, init, replicates, max_iter):
         data = _scenario_data(scenario, sigma, trial=replicates + max_iter)
@@ -225,10 +237,13 @@ class TestBatchedLloydMatchesOracle:
 
 class TestMemoryBudget:
     """One kmeans100 call stays within 3 BUDGET bytes: the temporaries of one
-    classify call, plus arrays of R K d and chunk N d floats.  At d = 100
-    classify holds two (chunk, N, K, d) arrays, at most BUDGET each; at d = 2
-    it holds at most three (chunk, N, K) arrays, 1.5 BUDGET in all.  An
-    unchunked batch is 4.7 MiB on dim2k4 and 80 MiB on dim100k10."""
+    classify call or one centroid update, plus arrays of R K d floats.  At
+    d = 2 classify holds at most three (chunk, N, K) arrays, 1.5 BUDGET in
+    all, and an unchunked batch would be 4.7 MiB.  At d = 100 the 100
+    replicates run as one chunk: classify holds one (N, chunk, K) array of
+    0.76 BUDGET, the centroids and their chunk copy 0.76 BUDGET each, and the
+    update's (sub, N, d) values and indices fit in BUDGET; a (chunk, N, K, d)
+    difference array would be 80 MiB."""
 
     @pytest.mark.parametrize("scenario", ["dim2k4", "dim100k10"])
     def test_kmeans100_peak(self, scenario):

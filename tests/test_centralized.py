@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from centrex import centralized
 from centrex.centralized import (
     Dataset,
     classify,
@@ -200,6 +201,96 @@ class TestClassify:
             for r in range(6):
                 assert np.array_equal(got[r], classify(pts, cents[r]))
             assert not np.any(got[1] == 3) and np.all(got[2] == 0)
+
+
+def _argmin_of_sums(points, centroids):
+    return np.argmin(np.sum((points[:, None, :] - centroids[..., None, :, :]) ** 2, axis=-1), axis=-1)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the (point, set) pairs classify recomputes with sq_dist."""
+    count = [0]
+
+    def counted(a, b):
+        if np.ndim(a) == 3:  # classify's fallback: (F, 1, d) points
+            count[0] += len(a)
+        return sq_dist(a, b)
+
+    monkeypatch.setattr(centralized, "sq_dist", counted)
+    return count
+
+
+class TestClassifyCertificate:
+    """From d = 8 classify certifies a Gram-matrix argmin and recomputes the
+    pairs it cannot certify: the result is np.argmin of np.sum, bit for bit."""
+
+    @pytest.mark.parametrize("sets", [(), (6,)])
+    @pytest.mark.parametrize("d", [8, 9, 33, 100])
+    def test_matches_argmin_of_sums(self, d, sets):
+        rng = np.random.default_rng(d)
+        pts = rng.normal(size=(80, d)) * 10.0 ** rng.uniform(-2, 2, (80, 1))
+        cents = rng.normal(size=sets + (5, d))
+        pts[:5] = cents.reshape(-1, 5, d)[0]  # points on a centroid
+        got = classify(pts, cents)
+        assert got.shape == sets + (80,)
+        assert np.array_equal(got, _argmin_of_sums(pts, cents))
+
+    @pytest.mark.parametrize("d", [8, 100])
+    def test_single_centroid(self, d):
+        pts = np.random.default_rng(0).normal(size=(10, d))
+        assert np.array_equal(classify(pts, np.ones((1, d))), np.zeros(10, dtype=int))
+        assert np.array_equal(classify(pts, np.ones((3, 1, d))), np.zeros((3, 10), dtype=int))
+
+    @pytest.mark.parametrize("d", [8, 100])
+    def test_ties_fall_back_to_the_lowest_index(self, d, fallbacks):
+        rng = np.random.default_rng(1)
+        pts = rng.normal(size=(40, d))
+        cents = rng.normal(size=(3, 4, d))
+        cents[0, 2] = cents[0, 0]  # duplicate centroid
+        cents[1] = cents[1, 3]  # all four equal
+        got = classify(pts, cents)
+        assert np.array_equal(got, _argmin_of_sums(pts, cents))
+        assert not np.any(got[0] == 2) and np.all(got[1] == 0)
+        assert fallbacks[0] >= 40  # every point of set 1 ties
+
+    @pytest.mark.parametrize("offset", [1e6, 1e8, 1e150])
+    @pytest.mark.parametrize("d", [8, 100])
+    def test_cancellation_falls_back(self, d, offset, fallbacks):
+        rng = np.random.default_rng(2)
+        pts = rng.normal(size=(60, d)) + offset
+        cents = rng.normal(size=(4, 6, d)) + offset
+        assert np.array_equal(classify(pts, cents), _argmin_of_sums(pts, cents))
+        assert fallbacks[0] > 0
+
+    def test_norms_near_overflow_skip_the_gram_matrix(self, fallbacks):
+        # ||x||^2 is finite but above 2^1020, and 2 x.c would overflow.
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(30, 8)) * 1e152 + 4.5e153
+        cents = rng.normal(size=(2, 5, 8)) * 1e152 + 4.5e153
+        want = _argmin_of_sums(pts, cents)
+        with np.errstate(all="raise"):
+            assert np.array_equal(classify(pts, cents), want)
+        assert fallbacks[0] == 60
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-162, 2.0**-1074])
+    @pytest.mark.parametrize("d", [8, 100])
+    def test_tiny_and_subnormal_points(self, d, scale):
+        # Squares that underflow: only the absolute term of the bound covers them.
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            pts = np.round(rng.normal(size=(50, d)) * 20) * scale
+            cents = np.round(rng.normal(size=(3, 5, d)) * 20) * scale
+            assert np.array_equal(classify(pts, cents), _argmin_of_sums(pts, cents))
+
+    def test_dim100k10_takes_the_fast_path(self, fallbacks):
+        config = ExperimentConfig(scenario="dim100k10", n=100, sigmas=(1.0,))
+        pts = generate_dataset(config, 0).points
+        rng = np.random.default_rng(5)
+        cents = pts[np.stack([rng.choice(100, size=10, replace=False) for _ in range(20)])]
+        cents = np.concatenate([cents, config.centroids[None]])
+        assert np.array_equal(classify(pts, cents), _argmin_of_sums(pts, cents))
+        assert fallbacks[0] == 0
 
 
 class TestRunCentrex:

@@ -71,6 +71,20 @@ def test_seed_env_override(small_config, tmp_path, monkeypatch):
     assert (b / "results.csv").read_bytes() != base
 
 
+def test_seed_env_override_equals_seed_in_file(tmp_path, monkeypatch):
+    # dim100k10 draws its centroid layout from the seed, so the override
+    # must reach the config before the layout is drawn.
+    cfg = {"scenario": "dim100k10", "n": 100, "trials": 1, "algorithms": ["kmeans10"]}
+    env_cfg, file_cfg = tmp_path / "env.json", tmp_path / "file.json"
+    env_cfg.write_text(json.dumps(cfg))
+    file_cfg.write_text(json.dumps({**cfg, "seed": 5}))
+    assert main(["kmeans", "run", "--config", str(file_cfg), "--out", str(tmp_path / "file")]) == 0
+    monkeypatch.setenv("CENTREX_SEED", "5")
+    assert main(["kmeans", "run", "--config", str(env_cfg), "--out", str(tmp_path / "env")]) == 0
+    want = (tmp_path / "file" / "results.csv").read_bytes()
+    assert (tmp_path / "env" / "results.csv").read_bytes() == want
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
