@@ -7,7 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centralized import ClusteringResult, Dataset, classify, distortion, run_centrex, sq_dist
+from .centralized import (
+    ClusteringResult,
+    Dataset,
+    classify,
+    classify_floats,
+    distortion,
+    run_centrex,
+    sq_dist,
+)
 from .statfn import KernelSpec
 
 __all__ = [
@@ -18,12 +26,11 @@ __all__ = [
     "centrex_gaussian",
 ]
 
-# Bytes allowed for the largest temporaries of one batched Lloyd step.  Below
-# d = 8 classify holds (chunk, N, K) arrays, at most three, and a chunk's
-# (chunk, N, K, d) floats fit in BUDGET: 40 replicates of dim2k4 at N = 400.
-# From d = 8 on classify holds one (N, chunk, K) float array, which fits in
-# BUDGET: all 100 replicates of dim100k10 at N = 100.  The centroid sums add
-# (sub, N, d) floats and their indices, together within BUDGET.
+# Bytes allowed for the largest temporaries of one batched Lloyd step.  A
+# chunk's classify_floats fit in BUDGET: 40 replicates of dim2k4 at N = 400,
+# where classify holds at most three (chunk, N, K) arrays, and all 100 of
+# dim100k10 at N = 100, where it holds one (N, chunk, K) array.  The centroid
+# sums add (sub, N, d) floats and their indices, together within BUDGET.
 BUDGET = 1 << 20
 
 
@@ -121,7 +128,7 @@ def _batched_lloyd(points, centroids, max_iter):
     n = points.shape[0]
     assignments = np.empty((reps, n), dtype=np.intp)
     iterations = np.full(reps, max_iter)
-    chunk = max(1, BUDGET // (8 * n * k * (d if d < 8 else 1)))
+    chunk = max(1, BUDGET // (8 * classify_floats(n, k, d)))
     for start in range(0, reps, chunk):
         active = np.arange(start, min(start + chunk, reps))
         prev = None

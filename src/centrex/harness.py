@@ -118,11 +118,6 @@ class ExperimentConfig:
             raise ValueError(f"record_runtime must be true or false, got {self.record_runtime!r}")
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_mapping(json.load(fh))
-
-    @classmethod
     def from_mapping(cls, raw) -> "ExperimentConfig":
         """Config from a parsed JSON object: lists become tuples, centroids an array."""
         if not isinstance(raw, dict):

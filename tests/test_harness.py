@@ -69,7 +69,7 @@ class TestExperimentConfig:
                 }
             )
         )
-        cfg = ExperimentConfig.from_json(path)
+        cfg = ExperimentConfig.from_mapping(json.loads(path.read_text()))
         assert cfg.k == 2 and cfg.centroids.shape == (2, 2)
 
 
