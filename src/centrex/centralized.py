@@ -53,12 +53,14 @@ class Dataset:
         # The pipelines work on the points raw or divided by sigma, both bounded
         # by the points divided by min(sigma, 1).  Squared distances to estimates
         # in their convex hull, and sums of N of them, are at most N squared
-        # bounding-box diagonals; a gossip accumulator adds fewer than N^2 points.
+        # bounding-box diagonals; a sum of the N points with weights at most 1
+        # is at most N times the farthest coordinate, and a push-sum state holds
+        # a share of one such sum.
         with np.errstate(over="ignore"):
             scale = self.sigma if 0 < self.sigma < 1 else 1.0
             span = np.ptp(self.points, axis=0) / scale
             reach = max(self.points.max(), -self.points.min()) / scale
-            bound = self.n * np.sum(span**2) + self.n**2 * reach
+            bound = self.n * (np.sum(span**2) + reach)
         if not np.isfinite(bound):
             raise ValueError("squared distances or sums of the points overflow float64")
         if self.labels is not None:

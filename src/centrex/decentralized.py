@@ -1,9 +1,9 @@
 """Slot-synchronous simulator of the decentralized DeCENTREx protocol.
 
-Each sensor holds one observation and accumulates partial sums (P, Q, c)
-pushed to it by other sensors over perfect links.  Rounds of T slots estimate
-one centroid network-wide; each sensor then marks its own observation, and at
-the end fuses and classifies locally.
+Each sensor holds one observation and a push-sum state [P | Q] shared over
+perfect links.  A round of T slots estimates one centroid network-wide in
+epochs of L slots, each a fixed-point step of h_map; each sensor then marks
+its own observation, and at the end fuses and classifies locally.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ BUDGET = 1 << 20
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Protocol parameters: slots per round T, update threshold L, push fanout."""
+    """Protocol parameters: slots per round T, slots per epoch L, push fanout."""
 
     n_sensors: int
     T: int
@@ -45,29 +45,16 @@ class NetworkConfig:
             raise ValueError("n_sensors must be at least 2: a sensor pushes to another")
         if self.T < 1:
             raise ValueError("T must be positive")
-        if not 1 <= self.L <= self.n_sensors:
-            raise ValueError("L must lie in [1, n_sensors]")
+        if self.L < 1:
+            raise ValueError("L must be positive")
         if not 1 <= self.fanout <= self.n_sensors - 1:
             raise ValueError("fanout must lie in [1, n_sensors - 1]")
 
 
 class SensorNetwork:
-    """Vectorized state of all sensors.
-
-    Per sensor: observation y, current estimate, accumulator (P, Q, c) where c
-    counts the own-observation contributions aggregated in (P, Q), and a marked
-    flag.
-
-    The accumulators are one (n, d+2) row per sensor, state = [P | Q | c], so
-    a slot copies, resets and adds one array; P, Q and c are views of it.  The
-    counter c is a float, exact while it stays below 2**53 (it is at most
-    n * (T + 1)).
-
-    The own contribution own = [w * y | w | 1], w = kernel(||y - estimate||^2),
-    is kept as long as the estimate does not move; own_P and own_Q are views
-    of it.  Only init_round and slot_step may write estimate, and each
-    refreshes the own contribution of the sensors it moved; any other writer
-    would leave it stale.
+    """Vectorized state of all sensors: observation y, estimate, push-sum
+    state [P | Q] as one (n, d+1) row per sensor (P and Q are views of it) and
+    a marked flag; `slot` counts the slots of the current round.
     """
 
     def __init__(self, points: np.ndarray, kernel: KernelSpec):
@@ -75,29 +62,17 @@ class SensorNetwork:
         self.n, self.d = self.y.shape
         self.kernel = kernel
         self.estimate = np.zeros_like(self.y)
-        d = self.d
-        self.state = np.zeros((self.n, d + 2))
-        self.P, self.Q, self.c = self.state[:, :d], self.state[:, d], self.state[:, d + 1]
-        self.own = np.zeros((self.n, d + 2))
-        self.own[:, d + 1] = 1.0
-        self.own_P, self.own_Q = self.own[:, :d], self.own[:, d]
+        self.state = np.zeros((self.n, self.d + 1))
+        self.P, self.Q = self.state[:, : self.d], self.state[:, self.d]
         # Column of each entry of the flattened state.
-        self.lane = np.tile(np.arange(d + 2), self.n)
+        self.lane = np.tile(np.arange(self.d + 1), self.n)
         self.marked = np.zeros(self.n, dtype=bool)
+        self.slot = 0
 
-    def fresh_contribution(self, idx=None):
-        """Own-observation contribution (P, Q) evaluated at the current estimate."""
-        if idx is None:
-            idx = slice(None)
-        y = self.y[idx]
-        w = weight(self.kernel, sq_dist(y, self.estimate[idx]))
-        return w[:, None] * y, w
-
-    def refresh_own(self, idx=None):
-        """Re-evaluate the own contribution of sensors whose estimate moved."""
-        if idx is None:
-            idx = slice(None)
-        self.own_P[idx], self.own_Q[idx] = self.fresh_contribution(idx)
+    def restart(self):
+        """Set each state to its own contribution [w * y | w] at the estimate."""
+        self.Q[:] = weight(self.kernel, sq_dist(self.y, self.estimate))
+        self.P[:] = self.Q[:, None] * self.y
 
 
 @dataclass
@@ -111,16 +86,16 @@ class RoundLog:
 def init_round(net: SensorNetwork, rng: np.random.Generator) -> int:
     """Broadcast the observation of a uniformly chosen unmarked sensor.
 
-    Every sensor sets its estimate to the broadcast vector and resets its
-    accumulator to its own fresh contribution.  Returns the chosen index.
+    Every sensor sets its estimate to the broadcast vector and restarts its
+    state from its own contribution there.  Returns the chosen index.
     """
     unmarked = np.flatnonzero(~net.marked)
     if unmarked.size == 0:
         raise RuntimeError("cannot start a round: all sensors are marked")
     chosen = int(rng.choice(unmarked))
     net.estimate[:] = net.y[chosen]
-    net.refresh_own()
-    net.state[:] = net.own
+    net.restart()
+    net.slot = 0
     return chosen
 
 
@@ -130,50 +105,50 @@ def _target_blocks(n: int, fanout: int, slots: int, rng: np.random.Generator):
     Entry [s, i] holds the `fanout` distinct targets of sender i in slot s,
     none equal to i.  A block holds as many slots as fit BUDGET bytes (at
     least one), and the draws are those of one slot after another: fanout 1
-    takes one rng.integers call per block, which PCG64 answers with the same
-    integers and leaves in the same state as one call per slot.
+    takes one rng.integers call per block, which PCG64 answers as it would one
+    call per slot.  Fanout f > 1 is Floyd's sampling (CACM 1987) for all
+    senders at once: column k draws from [0, j], j = n - 1 - f + k, and takes
+    j if the draw is taken.
     """
     per_block = max(1, BUDGET // (8 * n * fanout))
-    sender = np.arange(n)
     for start in range(0, slots, per_block):
         b = min(per_block, slots - start)
         if fanout == 1:
             block = rng.integers(0, n - 1, size=(b, n))[:, :, None]
         else:
             block = np.empty((b, n, fanout), dtype=np.int64)
-            for s in range(b):
-                for i in range(n):
-                    block[s, i] = rng.choice(n - 1, size=fanout, replace=False)
-        block += block >= sender[:, None]
+            for picks in block:
+                for k, j in enumerate(range(n - 1 - fanout, n - 1)):
+                    t = rng.integers(0, j + 1, size=n)
+                    picks[:, k] = np.where((picks[:, :k] == t[:, None]).any(axis=1), j, t)
+        block += block >= np.arange(n)[:, None]
         yield block
 
 
 def slot_step(net: SensorNetwork, config: NetworkConfig, targets: np.ndarray):
-    """One synchronous time slot with (n, fanout) push targets.
+    """One synchronous push-sum slot with (n, fanout) push targets.
 
-    Every sensor pushes its accumulator snapshot to its `fanout` targets
-    and keeps only a fresh own contribution; receivers add incoming sums
-    termwise, in sender order.  All receptions are applied before any update
-    check; sensors whose counter reaches L then set estimate = P/Q and reset.
-    A sensor whose weights all underflowed (Q = 0) keeps its estimate and
-    still resets.
+    Every sensor keeps 1/(fanout + 1) of its state and pushes that share to
+    each target; receivers add shares in sender order.  This conserves the
+    total, so within an epoch every P/Q tends to sum P / sum Q, which is h_map
+    at the epoch's estimates.  At every L-th slot of the round and at slot T,
+    sensors with Q > 0 set estimate = P/Q (one whose weights all underflowed
+    keeps its estimate) and all restart from their own contribution.
 
-    Returns (messages_sent, updated_mask).
+    Returns (messages_sent, updated_mask), the mask marking who set estimate.
     """
     n, fanout = targets.shape
-    width = net.d + 2
-    snap = net.state.ravel().copy()
-    net.state[:] = net.own
-    flat = net.state.ravel()
-    for f in range(fanout):
-        np.add.at(flat, np.repeat(targets[:, f] * width, width) + net.lane, snap)
-    updated = net.c >= config.L
-    idx = np.flatnonzero(updated)
-    if idx.size:
-        moved = idx[net.Q[idx] > 0]
-        net.estimate[moved] = net.P[moved] / net.Q[moved, None]
-        net.refresh_own(moved)
-        net.state[idx] = net.own[idx]
+    width = net.d + 1
+    net.state /= fanout + 1
+    share = net.state.ravel().copy()
+    for t in targets.T:
+        np.add.at(net.state.ravel(), np.repeat(t * width, width) + net.lane, share)
+    net.slot += 1
+    updated = np.zeros(n, dtype=bool)
+    if net.slot % config.L == 0 or net.slot == config.T:
+        updated = net.Q > 0
+        net.estimate[updated] = net.P[updated] / net.Q[updated, None]
+        net.restart()
     return n * fanout, updated
 
 
@@ -194,19 +169,17 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     rng = np.random.default_rng(config.seed)
     wald_cfg = WaldConfig(d=d, gamma=gamma)
     net = SensorNetwork(pts, kernel)
-    log = RoundLog()
     rounds = []
 
     while not net.marked.all():
         chosen = init_round(net, rng)
         for block in _target_blocks(n, config.fanout, config.T, rng):
             for targets in block:
-                sent, _ = slot_step(net, config, targets)
-                log.messages_sent += sent
+                slot_step(net, config, targets)
         rounds.append(net.estimate.copy())
         net.marked[mark(net.y, net.estimate, wald_cfg)] = True
         net.marked[chosen] = True
-        log.rounds += 1
+    log = RoundLog(messages_sent=len(rounds) * config.T * n * config.fanout, rounds=len(rounds))
 
     # Local fusion: sensors cannot observe per-cluster supports, so each one
     # uses the network-wide surrogate N / (number of rounds).

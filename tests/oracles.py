@@ -129,9 +129,9 @@ def lloyd_replicated(points, seed_sets, max_iter):
     return best
 
 
-class ThreeArrayNetwork:
-    """Gossip accumulators held as three arrays: P (n, d), Q (n,) and an
-    integer counter c (n,), with the own contribution in own_P and own_Q."""
+class PushSumNetwork:
+    """Push-sum gossip held as separate arrays: estimate (n, d), P (n, d) and
+    Q (n,), with a slot counter."""
 
     def __init__(self, points, weight_fn):
         self.y = np.asarray(points, dtype=float)
@@ -140,59 +140,51 @@ class ThreeArrayNetwork:
         self.estimate = np.zeros_like(self.y)
         self.P = np.zeros_like(self.y)
         self.Q = np.zeros(self.n)
-        self.c = np.zeros(self.n, dtype=int)
-        self.own_P = np.zeros_like(self.y)
-        self.own_Q = np.zeros(self.n)
+        self.slot = 0
 
-    def refresh_own(self, idx=None):
-        if idx is None:
-            idx = slice(None)
-        diff = self.y[idx] - self.estimate[idx]
-        w = np.atleast_1d(self.weight_fn(np.sum(diff * diff, axis=1)))
-        self.own_P[idx], self.own_Q[idx] = w[:, None] * self.y[idx], w
-
-    def reset_accumulators(self, idx=None):
-        if idx is None:
-            idx = slice(None)
-        self.P[idx] = self.own_P[idx]
-        self.Q[idx] = self.own_Q[idx]
-        self.c[idx] = 1
+    def restart(self):
+        diff = self.y - self.estimate
+        self.Q = np.atleast_1d(self.weight_fn(np.sum(diff * diff, axis=1)))
+        self.P = self.Q[:, None] * self.y
 
     def init_round(self, chosen):
         self.estimate[:] = self.y[chosen]
-        self.refresh_own()
-        self.reset_accumulators()
+        self.restart()
+        self.slot = 0
 
-    def slot_step(self, L, targets):
-        """One slot: push snapshots to the (n, fanout) targets with one
-        np.add.at per array and fanout column, then update the sensors
-        whose counter reached L (keeping the estimate where Q = 0)."""
-        P_snap, Q_snap, c_snap = self.P.copy(), self.Q.copy(), self.c.copy()
-        self.reset_accumulators()
-        for f in range(targets.shape[1]):
-            t = targets[:, f]
-            np.add.at(self.P, t, P_snap)
-            np.add.at(self.Q, t, Q_snap)
-            np.add.at(self.c, t, c_snap)
-        updated = self.c >= L
-        if updated.any():
-            moved = updated & (self.Q > 0)
-            self.estimate[moved] = self.P[moved] / self.Q[moved, None]
-            self.refresh_own(moved)
-            self.reset_accumulators(updated)
-        return updated
+    def slot_step(self, T, L, targets):
+        """One slot: every sensor keeps 1/(fanout + 1) of (P, Q) and adds
+        that share to each of its (n, fanout) targets, one np.add.at per
+        array and fanout column; at every L-th slot and slot T, sensors with
+        Q > 0 step to P/Q and all restart."""
+        fanout = targets.shape[1]
+        self.P = self.P / (fanout + 1)
+        self.Q = self.Q / (fanout + 1)
+        P_share, Q_share = self.P.copy(), self.Q.copy()
+        for f in range(fanout):
+            np.add.at(self.P, targets[:, f], P_share)
+            np.add.at(self.Q, targets[:, f], Q_share)
+        self.slot += 1
+        if self.slot % L and self.slot != T:
+            return np.zeros(self.n, dtype=bool)
+        moved = self.Q > 0
+        self.estimate[moved] = self.P[moved] / self.Q[moved, None]
+        self.restart()
+        return moved
 
 
 def pick_targets(n, fanout, rng):
     """(n, fanout) push targets of one slot, drawn on their own: one
-    rng.integers call for fanout 1, one rng.choice per sender otherwise."""
+    rng.integers call for fanout 1; otherwise Floyd's sampling, one call per
+    column for all senders, with each sender's picks kept in a Python list."""
     if fanout == 1:
         t = rng.integers(0, n - 1, size=n)
         t[t >= np.arange(n)] += 1
         return t[:, None]
-    targets = np.empty((n, fanout), dtype=int)
-    for i in range(n):
-        t = rng.choice(n - 1, size=fanout, replace=False)
-        t[t >= i] += 1
-        targets[i] = t
-    return targets
+    picks = [[] for _ in range(n)]
+    for j in range(n - 1 - fanout, n - 1):
+        draws = rng.integers(0, j + 1, size=n)
+        for i in range(n):
+            t = int(draws[i])
+            picks[i].append(j if t in picks[i] else t)
+    return np.array([[t + (t >= i) for t in row] for i, row in enumerate(picks)])
