@@ -11,7 +11,7 @@ are imported from their modules.
 
 from .baselines import KMeansConfig, centrex_gaussian, kmeans_lloyd, kmeans_replicated
 from .centralized import ClusteringResult, Dataset, run_centrex, sigma_lim
-from .decentralized import NetworkConfig, RoundLog, run_decentrex
+from .decentralized import NetworkConfig, run_decentrex
 from .harness import ExperimentConfig, classification_error, generate_dataset, run_experiment
 from .statfn import KernelSpec, WaldConfig, marcum_q, r_squared, threshold_mu
 

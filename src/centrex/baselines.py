@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centralized import (
+    BUDGET,
     ClusteringResult,
     Dataset,
     classify,
@@ -25,14 +26,6 @@ __all__ = [
     "kmeans_replicated",
     "centrex_gaussian",
 ]
-
-# Bytes allowed for the largest temporaries of one batched Lloyd step.  A
-# chunk's classify_floats fit in BUDGET: 40 replicates of dim2k4 at N = 400,
-# where classify holds at most three (chunk, N, K) arrays, and all 100 of
-# dim100k10 at N = 100, where it holds one (N, chunk, K) array.  The centroid
-# sums add (sub, N, d) floats and their indices, together within BUDGET.
-BUDGET = 1 << 20
-
 
 @dataclass(frozen=True)
 class KMeansConfig:
@@ -98,7 +91,8 @@ def _update(points, centroids, active, assign):
     counts = np.bincount(slot.ravel(), minlength=len(active) * k).reshape(-1, k)
     # Flat add.at sums each cluster's coordinates in point order, exactly as
     # the axis-0 sum inside points[members].mean(axis=0).  Replicates' slots
-    # are disjoint, so sub of them at a time give the same sums.
+    # are disjoint, so sub of them at a time give the same sums; their
+    # (sub, N, d) values and indices fit BUDGET together.
     sums = np.zeros(len(active) * k * d)
     sub = max(1, BUDGET // (16 * n * d))
     for lo in range(0, len(active), sub):
@@ -121,8 +115,10 @@ def _batched_lloyd(points, centroids, max_iter):
     centroids (R, K, d) and updated in place, until that replicate's
     assignments stabilize.
 
-    Replicates run in chunks sized by BUDGET, and leave their chunk once
-    converged.  Returns assignments (R, N) and iteration counts (R,).
+    Replicates run in chunks whose classify_floats fit BUDGET (40 of dim2k4
+    at N = 400, where classify holds at most three (chunk, N, K) arrays; all
+    100 of dim100k10 at N = 100, one (N, chunk, K) array), and leave their
+    chunk once converged.  Returns assignments (R, N) and iteration counts (R,).
     """
     reps, k, d = centroids.shape
     n = points.shape[0]

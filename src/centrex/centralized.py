@@ -21,12 +21,18 @@ __all__ = [
     "h_map",
     "fixed_point",
     "mark",
+    "recover",
     "fuse",
     "classify",
     "distortion",
     "run_centrex",
     "sigma_lim",
 ]
+
+# Bytes allowed for one block of temporaries: classify's fallback distances,
+# a batched Lloyd chunk (baselines), push targets (decentralized: a whole
+# round of the dim2k4 gossip run, T = 300, n = 400, fanout 1, is 960 000).
+BUDGET = 1 << 20
 
 
 @dataclass
@@ -44,7 +50,7 @@ class Dataset:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[0] < 1:
+        if self.points.ndim != 2 or min(self.points.shape) < 1:
             raise ValueError("points must be a nonempty (N, d) array")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("points must be finite")
@@ -86,9 +92,9 @@ class Dataset:
 class ClusteringResult:
     """Estimated centroids (raw units), per-point assignments and supports.
 
-    run_centrex fills the per-centroid lists in the order the centroids were
-    estimated, before fusion; converged_per_centroid is False where the
-    estimate stopped at the iteration cap rather than at a fixed point.
+    Both pipelines fill the per-centroid lists in estimation order, before
+    fusion: run_centrex with fixed_point's iterations and flags, run_decentrex
+    with each round's ceil(T / L) epochs and whether every sensor took P/Q.
     """
 
     centroids: np.ndarray
@@ -156,6 +162,20 @@ def mark(points, centroid, marking_cfg: WaldConfig) -> np.ndarray:
     """
     dist = np.sqrt(sq_dist(points, centroid))
     return np.flatnonzero(dist <= marking_cfg.threshold)
+
+
+def recover(points, marked, wald_cfg: WaldConfig, estimate):
+    """Until every point is marked: (start, theta, iterations, converged) =
+    estimate(), then mark the start and what mark attributes to theta, one
+    (d,) centroid or one (n, d) row per sensor.  Returns the lists (thetas,
+    supports, iterations, flags), one entry per pass."""
+    passes = []
+    while not marked.all():
+        start, theta, iters, converged = estimate()
+        mk = mark(points, theta, wald_cfg)
+        marked[mk] = marked[start] = True
+        passes.append((theta, len(mk) + int(start not in mk), iters, converged))
+    return tuple(map(list, zip(*passes)))
 
 
 def fuse(centroids, support_counts, r: float, wald_cfg: WaldConfig):
@@ -238,7 +258,7 @@ def classify(points, centroids) -> np.ndarray:
     strict test.
     Squared norms above 2^1020 (or NaN) skip the test, so nothing in it
     overflows, and every point of every set is then recomputed with sq_dist,
-    in blocks of at most 2^17 floats.
+    in blocks of at most BUDGET bytes.
     """
     d, k = points.shape[-1], centroids.shape[-2]
     if d < GRAM_MIN_D:
@@ -266,7 +286,7 @@ def classify(points, centroids) -> np.ndarray:
         g.reshape(-1, k)[np.arange(best.size), best.ravel()] = np.inf
         certified = upper < g.min(axis=-1)
     rows, cols = np.nonzero(~certified)
-    step = max(1, (1 << 17) // (k * d))
+    step = max(1, BUDGET // (8 * k * d))
     for lo in range(0, len(rows), step):
         i, r = rows[lo : lo + step], cols[lo : lo + step]
         best[i, r] = np.argmin(sq_dist(points[i, None, :], sets[r]), axis=-1)
@@ -307,23 +327,13 @@ def run_centrex(
         raise ValueError(f"kernel dimension {kernel.d} does not match the data's {d}")
     rng = np.random.default_rng(seed)
     wald_cfg = WaldConfig(d=d, gamma=gamma)
-
     marked = np.zeros(n, dtype=bool)
-    centroids = []
-    counts = []
-    iters_per = []
-    converged_per = []
-    while not marked.all():
-        candidates = np.flatnonzero(~marked)
-        start = int(rng.choice(candidates))
-        theta, iters, converged = fixed_point(pts, kernel, pts[start], epsilon, max_iter)
-        mk = mark(pts, theta, wald_cfg)
-        marked[mk] = True
-        marked[start] = True
-        centroids.append(theta)
-        counts.append(len(mk) + int(start not in mk))
-        iters_per.append(iters)
-        converged_per.append(converged)
+
+    def estimate():
+        start = int(rng.choice(np.flatnonzero(~marked)))
+        return (start, *fixed_point(pts, kernel, pts[start], epsilon, max_iter))
+
+    centroids, counts, iters_per, converged_per = recover(pts, marked, wald_cfg, estimate)
 
     r = math.sqrt(r_squared(kernel))
     fused_cents, fused_counts = fuse(centroids, counts, r, wald_cfg)

@@ -2,8 +2,10 @@
 
 Each sensor holds one observation and a push-sum state [P | Q] shared over
 perfect links.  A round of T slots estimates one centroid network-wide in
-epochs of L slots, each a fixed-point step of h_map; each sensor then marks
-its own observation, and at the end fuses and classifies locally.
+epochs of L slots, each a fixed-point step of h_map, and each sensor marks its
+own observation.  Rounds run in CENTREx's loop, centralized.recover, which
+records each round's epochs and whether every sensor took P/Q at its end.
+At the end each sensor fuses and classifies locally.
 """
 
 from __future__ import annotations
@@ -13,21 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centralized import ClusteringResult, Dataset, classify, fuse, mark, sq_dist
+from .centralized import BUDGET, ClusteringResult, Dataset, classify, fuse, recover, sq_dist
 from .statfn import KernelSpec, WaldConfig, r_squared, weight
 
 __all__ = [
     "NetworkConfig",
     "SensorNetwork",
-    "RoundLog",
     "init_round",
     "slot_step",
     "run_decentrex",
 ]
-
-# Bytes allowed for one block of a round's push targets: a whole round of
-# the dim2k4 gossip run (T = 300, n = 400, fanout 1) is 960 000.
-BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -73,14 +70,6 @@ class SensorNetwork:
         """Set each state to its own contribution [w * y | w] at the estimate."""
         self.Q[:] = weight(self.kernel, sq_dist(self.y, self.estimate))
         self.P[:] = self.Q[:, None] * self.y
-
-
-@dataclass
-class RoundLog:
-    """Aggregate accounting over all completed rounds."""
-
-    messages_sent: int = 0
-    rounds: int = 0
 
 
 def init_round(net: SensorNetwork, rng: np.random.Generator) -> int:
@@ -155,11 +144,11 @@ def slot_step(net: SensorNetwork, config: NetworkConfig, targets: np.ndarray):
 def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     """Run the full decentralized protocol on one dataset.
 
-    Returns (results, log) where results[n] is the local ClusteringResult of
-    sensor n (its centroid list after local fusion, and the assignment of its
-    own observation only) and log aggregates message and round counts.
-    Deterministic for a given (data, config).  Sensor s's centroid list is
-    row s of the estimates taken at the end of each round.
+    Returns (results, messages): results[s] is sensor s's ClusteringResult
+    (its centroids after local fusion, the label of its own observation, and
+    per round the epochs, ceil(T / L), and whether every sensor took P/Q at
+    its end), messages the sum of slot_step's counts.  Deterministic for a
+    given (data, config).  Sensor s's centroids are row s of the round estimates.
     """
     pts = data.normalized_points()
     n, d = pts.shape
@@ -169,17 +158,18 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     rng = np.random.default_rng(config.seed)
     wald_cfg = WaldConfig(d=d, gamma=gamma)
     net = SensorNetwork(pts, kernel)
-    rounds = []
+    messages = 0
 
-    while not net.marked.all():
+    def estimate():
+        nonlocal messages
         chosen = init_round(net, rng)
         for block in _target_blocks(n, config.fanout, config.T, rng):
             for targets in block:
-                slot_step(net, config, targets)
-        rounds.append(net.estimate.copy())
-        net.marked[mark(net.y, net.estimate, wald_cfg)] = True
-        net.marked[chosen] = True
-    log = RoundLog(messages_sent=len(rounds) * config.T * n * config.fanout, rounds=len(rounds))
+                sent, updated = slot_step(net, config, targets)
+                messages += sent
+        return chosen, net.estimate.copy(), math.ceil(config.T / config.L), bool(updated.all())
+
+    rounds, _, iters, converged = recover(pts, net.marked, wald_cfg, estimate)
 
     # Local fusion: sensors cannot observe per-cluster supports, so each one
     # uses the network-wide surrogate N / (number of rounds).
@@ -195,6 +185,8 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
                 assignments=np.array([label]),
                 support_counts=np.rint(fused_counts).astype(int),
                 k_hat=len(cents),
+                iterations_per_centroid=list(iters),
+                converged_per_centroid=list(converged),
             )
         )
-    return results, log
+    return results, messages

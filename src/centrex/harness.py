@@ -89,15 +89,18 @@ class ExperimentConfig:
                 self.centroids = self.scale_a * rng.standard_normal((self.k, self.d))
         elif self.scenario != "custom":
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        for name in ("d", "k", "n", "trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.centroids is None:
             raise ValueError("custom scenario requires explicit centroids")
         self.centroids = np.asarray(self.centroids, dtype=float)
         if self.centroids.shape != (self.k, self.d):
             raise ValueError("centroids must have shape (k, d)")
-        if self.trials < 1 or self.n < 1:
-            raise ValueError("trials and n must be positive")
         if self.n % self.k != 0:
             raise ValueError("n must be divisible by k for balanced scenarios")
+        if "decentrex" in self.algorithms:
+            NetworkConfig(n_sensors=self.n, T=self.slots_t, L=self.update_l, fanout=self.fanout)
 
     def _check_types(self):
         """Reject a field of the wrong type with a ValueError naming it."""
@@ -204,8 +207,7 @@ def _run_algorithm(name, config, data, seed) -> _Cell:
             fanout=config.fanout,
             seed=seed,
         )
-        results, log = run_decentrex(data, net_cfg, gamma=config.gamma)
-        messages = log.messages_sent
+        results, messages = run_decentrex(data, net_cfg, gamma=config.gamma)
     elif name == "kmeanspp":
         cfg = KMeansConfig(k=config.k, init="plusplus", replicates=1, seed=_as_int_seed(seed))
         results = [kmeans_replicated(data, cfg)]

@@ -385,6 +385,7 @@ ENTRY_REJECTS = {
     "sigma_nan": (lambda: Dataset(points=np.zeros((3, 2)), sigma=np.nan), "sigma"),
     "sigma_inf": (lambda: Dataset(points=np.zeros((3, 2)), sigma=np.inf), "sigma"),
     "empty": (lambda: Dataset(points=np.empty((0, 2)), sigma=1.0), "nonempty"),
+    "no_coordinates": (lambda: Dataset(points=np.empty((3, 0)), sigma=1.0), r"\(N, d\)"),
     "nan": (lambda: Dataset(points=[[0.0, 0.0], [np.nan, 1.0]], sigma=1.0), "finite"),
     "inf": (lambda: Dataset(points=[[0.0, 0.0], [-np.inf, 1.0]], sigma=1.0), "finite"),
 }

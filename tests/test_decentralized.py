@@ -193,18 +193,51 @@ class TestRunDecentrex:
     def test_determinism(self):
         data, _ = self._data(0)
         cfg = NetworkConfig(n_sensors=400, T=200, L=20, seed=5)
-        r1, l1 = run_decentrex(data, cfg)
-        r2, l2 = run_decentrex(data, cfg)
-        assert l1.messages_sent == l2.messages_sent
+        r1, m1 = run_decentrex(data, cfg)
+        r2, m2 = run_decentrex(data, cfg)
+        assert m1 == m2
         for a, b in zip(r1, r2):
             assert a.k_hat == b.k_hat
             assert np.array_equal(a.centroids, b.centroids)
+            assert a.iterations_per_centroid == b.iterations_per_centroid
+            assert a.converged_per_centroid == b.converged_per_centroid
 
-    def test_message_accounting(self):
+    @pytest.mark.parametrize("T, L, fanout, epochs", [(150, 15, 1, 10), (25, 10, 2, 3)])
+    def test_message_accounting(self, T, L, fanout, epochs):
+        # The number of rounds is the length of every sensor's per-centroid
+        # lists, which count ceil(T / L) epochs per round.
         data, _ = self._data(1)
-        cfg = NetworkConfig(n_sensors=400, T=150, L=15, fanout=1, seed=2)
-        _, log = run_decentrex(data, cfg)
-        assert log.messages_sent == 400 * 1 * 150 * log.rounds
+        cfg = NetworkConfig(n_sensors=400, T=T, L=L, fanout=fanout, seed=2)
+        results, messages = run_decentrex(data, cfg)
+        rounds = len(results[0].iterations_per_centroid)
+        assert messages == 400 * fanout * T * rounds
+        assert results[0].iterations_per_centroid == [epochs] * rounds
+
+    def test_rounds_recorded_per_sensor(self, monkeypatch):
+        # Every sensor records ceil(T / L) epochs per round, messages are the
+        # sum of slot_step's counts, and a round that ended with a Q = 0
+        # sensor keeping its estimate is reported as not converged.
+        config = ExperimentConfig(scenario="dim100k10", n=100, sigmas=(1.0,))
+        data = generate_dataset(config, np.random.SeedSequence([0, 0, 0]))
+        cfg = NetworkConfig(n_sensors=100, T=100, L=10, seed=np.random.SeedSequence([0, 0, 0, 0]))
+        sent = []
+        real_slot = decentralized.slot_step
+
+        def counting_slot(net, cfg, targets):
+            out = real_slot(net, cfg, targets)
+            sent.append(out[0])
+            return out
+
+        monkeypatch.setattr(decentralized, "slot_step", counting_slot)
+        results, messages = run_decentrex(data, cfg)
+        rounds = len(results[0].iterations_per_centroid)
+        for r in results:
+            assert r.iterations_per_centroid == [10] * rounds
+            assert r.converged_per_centroid == results[0].converged_per_centroid
+        assert messages == sum(sent) == rounds * 100 * 100 * 1
+        assert len(sent) == rounds * 100
+        assert False in results[0].converged_per_centroid
+        assert True in results[0].converged_per_centroid
 
     def test_sensors_agree_on_four_clusters(self):
         # Ten 30-slot epochs per round bring every sensor to the centralized
@@ -288,8 +321,10 @@ class TestFlatSlotMatchesThreeArrays:
 
         monkeypatch.setattr(decentralized, "init_round", lockstep_init)
         monkeypatch.setattr(decentralized, "slot_step", lockstep_slot)
-        _, log = run_decentrex(data, config)
-        assert stats["slots"] == config.T * log.rounds
+        results, messages = run_decentrex(data, config)
+        rounds = len(results[0].iterations_per_centroid)
+        assert stats["slots"] == config.T * rounds
+        assert messages == stats["slots"] * config.n_sensors * config.fanout
         return stats
 
     @pytest.mark.parametrize("fanout, slots", [(1, 300), (3, 60)])

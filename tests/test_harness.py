@@ -54,6 +54,33 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(scenario="dim2k4", trials=2, algorithms=("kmeans100",), **fields)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"k": 0, "centroids": np.zeros((0, 2))}, "k"),
+            ({"d": 0, "centroids": np.zeros((4, 0))}, "d"),
+        ],
+        ids=["k_zero", "d_zero"],
+    )
+    def test_integer_fields_rejected_with_their_name(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            ExperimentConfig(scenario="custom", **fields)
+
+    def test_network_fields_checked_when_decentrex_listed(self):
+        # NetworkConfig's own rules, before the kmeans10 cell would run.
+        with pytest.raises(ValueError, match="L must be positive"):
+            ExperimentConfig(
+                scenario="dim2k4",
+                sigmas=(1.0, 2.0),
+                trials=2,
+                algorithms=("kmeans10", "decentrex"),
+                update_l=0,
+            )
+        with pytest.raises(ValueError, match="fanout"):
+            ExperimentConfig(scenario="dim2k4", algorithms=("decentrex",), fanout=400)
+        # Without decentrex the network fields are not used.
+        ExperimentConfig(scenario="dim2k4", algorithms=("kmeans10",), update_l=0)
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(
