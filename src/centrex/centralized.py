@@ -165,10 +165,10 @@ def mark(points, centroid, marking_cfg: WaldConfig) -> np.ndarray:
 
 
 def recover(points, marked, wald_cfg: WaldConfig, estimate):
-    """Until every point is marked: (start, theta, iterations, converged) =
-    estimate(), then mark the start and what mark attributes to theta, one
-    (d,) centroid or one (n, d) row per sensor.  Returns the lists (thetas,
-    supports, iterations, flags), one entry per pass."""
+    """Set `marked` in place until it is all True: each pass calls estimate()
+    for (start, theta, iterations, converged), theta being one (d,) centroid
+    or one (n, d) row per sensor, and marks the start and what mark attributes
+    to theta.  Returns the lists (thetas, supports, iterations, flags)."""
     passes = []
     while not marked.all():
         start, theta, iters, converged = estimate()

@@ -202,16 +202,16 @@ class TestRunDecentrex:
             assert a.iterations_per_centroid == b.iterations_per_centroid
             assert a.converged_per_centroid == b.converged_per_centroid
 
-    @pytest.mark.parametrize("T, L, fanout, epochs", [(150, 15, 1, 10), (25, 10, 2, 3)])
-    def test_message_accounting(self, T, L, fanout, epochs):
+    def test_message_accounting(self):
         # The number of rounds is the length of every sensor's per-centroid
         # lists, which count ceil(T / L) epochs per round.
         data, _ = self._data(1)
-        cfg = NetworkConfig(n_sensors=400, T=T, L=L, fanout=fanout, seed=2)
-        results, messages = run_decentrex(data, cfg)
-        rounds = len(results[0].iterations_per_centroid)
-        assert messages == 400 * fanout * T * rounds
-        assert results[0].iterations_per_centroid == [epochs] * rounds
+        for T, L, fanout, epochs in [(150, 15, 1, 10), (25, 10, 2, 3)]:
+            cfg = NetworkConfig(n_sensors=400, T=T, L=L, fanout=fanout, seed=2)
+            results, messages = run_decentrex(data, cfg)
+            rounds = len(results[0].iterations_per_centroid)
+            assert messages == 400 * fanout * T * rounds
+            assert results[0].iterations_per_centroid == [epochs] * rounds
 
     def test_rounds_recorded_per_sensor(self, monkeypatch):
         # Every sensor records ceil(T / L) epochs per round, messages are the
