@@ -7,16 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centralized import (
-    BUDGET,
-    ClusteringResult,
-    Dataset,
-    classify,
-    classify_floats,
-    distortion,
-    run_centrex,
-    sq_dist,
-)
+from .centralized import ClusteringResult, Dataset, classify, distortion, run_centrex, sq_dist
 from .statfn import KernelSpec
 
 __all__ = [
@@ -85,25 +76,20 @@ def _reseed(points, centroids, assign):
 def _update(points, centroids, active, assign):
     """Move the centroids of replicates `active` to their cluster means, in
     place; a replicate with an empty cluster is reseeded instead."""
-    n, d = points.shape
+    d = points.shape[1]
     k = centroids.shape[1]
-    slot = assign + k * np.arange(len(active))[:, None]
-    counts = np.bincount(slot.ravel(), minlength=len(active) * k).reshape(-1, k)
-    # Flat add.at sums each cluster's coordinates in point order, exactly as
-    # the axis-0 sum inside points[members].mean(axis=0).  Replicates' slots
-    # are disjoint, so sub of them at a time give the same sums; their
-    # (sub, N, d) values and indices fit BUDGET together.
-    sums = np.zeros(len(active) * k * d)
-    sub = max(1, BUDGET // (16 * n * d))
-    for lo in range(0, len(active), sub):
-        part = slot[lo : lo + sub]
-        np.add.at(
-            sums,
-            (part[:, :, None] * d + np.arange(d)).ravel(),
-            np.broadcast_to(points, (len(part), n, d)).ravel(),
-        )
-    sums = sums.reshape(-1, k, d)
-    sums /= np.maximum(counts, 1)[:, :, None]  # in place: no second (chunk, K, d) array
+    bins = len(active) * k
+    slot = (assign + k * np.arange(len(active))[:, None]).ravel()
+    counts = np.bincount(slot, minlength=bins)
+    # bincount adds each bin's weights in input order, so every cluster's
+    # coordinate sums in point order, exactly as the axis-0 sum inside
+    # points[members].mean(axis=0).
+    sums, weights = np.empty((bins, d)), np.empty(assign.shape)
+    for j, coord in enumerate(points.T):
+        weights[:] = coord  # coordinate j of every point, once per replicate
+        sums[:, j] = np.bincount(slot, weights=weights.ravel(), minlength=bins)
+    sums /= np.maximum(counts, 1)[:, None]  # in place: no second (R, K, d) array
+    sums, counts = sums.reshape(-1, k, d), counts.reshape(-1, k)
     full = counts.all(axis=1)
     centroids[active[full]] = sums[full]
     for i in np.flatnonzero(~full):
@@ -115,31 +101,25 @@ def _batched_lloyd(points, centroids, max_iter):
     centroids (R, K, d) and updated in place, until that replicate's
     assignments stabilize.
 
-    Replicates run in chunks whose classify_floats fit BUDGET (40 of dim2k4
-    at N = 400, where classify holds at most three (chunk, N, K) arrays; all
-    100 of dim100k10 at N = 100, one (N, chunk, K) array), and leave their
-    chunk once converged.  Returns assignments (R, N) and iteration counts (R,).
+    All replicates form one batch, and each leaves it once converged.
+    Returns assignments (R, N) and iteration counts (R,).
     """
-    reps, k, d = centroids.shape
-    n = points.shape[0]
-    assignments = np.empty((reps, n), dtype=np.intp)
+    reps = centroids.shape[0]
+    assignments = np.empty((reps, points.shape[0]), dtype=np.intp)
     iterations = np.full(reps, max_iter)
-    chunk = max(1, BUDGET // (8 * classify_floats(n, k, d)))
-    for start in range(0, reps, chunk):
-        active = np.arange(start, min(start + chunk, reps))
-        prev = None
-        for it in range(1, max_iter + 1):
-            assign = classify(points, centroids[active])
-            _update(points, centroids, active, assign)
-            if prev is not None:
-                done = (assign == prev).all(axis=1)
-                assignments[active[done]] = assign[done]
-                iterations[active[done]] = it
-                active, assign = active[~done], assign[~done]
-            prev = assign
-            if not len(active):
-                break
-        assignments[active] = prev
+    active, prev = np.arange(reps), None
+    for it in range(1, max_iter + 1):
+        assign = classify(points, centroids[active])
+        _update(points, centroids, active, assign)
+        if prev is not None:
+            done = (assign == prev).all(axis=1)
+            assignments[active[done]] = assign[done]
+            iterations[active[done]] = it
+            active, assign = active[~done], assign[~done]
+        prev = assign
+        if not len(active):
+            break
+    assignments[active] = prev
     return assignments, iterations
 
 
@@ -174,8 +154,8 @@ def kmeans_replicated(data: Dataset, config: KMeansConfig) -> ClusteringResult:
     the smallest distortion (ties by replicate index).
 
     Each replicate seeds from its own spawned stream; the replicates then
-    iterate together in batches (see BUDGET), with the same results as one
-    kmeans_lloyd run per stream.
+    iterate together in one batch, with the same results as one kmeans_lloyd
+    run per stream.
     """
     streams = np.random.SeedSequence(config.seed).spawn(config.replicates)
     return _best_of(data, config, [np.random.default_rng(ss) for ss in streams])

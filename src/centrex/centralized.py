@@ -29,8 +29,8 @@ __all__ = [
     "sigma_lim",
 ]
 
-# Bytes allowed for one block of temporaries: classify's fallback distances,
-# a batched Lloyd chunk (baselines), push targets (decentralized: a whole
+# Bytes allowed for one block of temporaries: classify's blocks of centroid
+# sets and of fallback distances, and push targets (decentralized: a whole
 # round of the dim2k4 gossip run, T = 300, n = 400, fanout 1, is 960 000).
 BUDGET = 1 << 20
 
@@ -216,13 +216,6 @@ def fuse(centroids, support_counts, r: float, wald_cfg: WaldConfig):
 GRAM_MIN_D = 8
 
 
-def classify_floats(n: int, k: int, d: int) -> int:
-    """Floats per centroid set by which classify's temporaries are budgeted,
-    for N points and K centroids in d dimensions: N K d below GRAM_MIN_D
-    (sq_dist holds at most three (N, K) arrays), N K from it on (one G block)."""
-    return n * k * (d if d < GRAM_MIN_D else 1)
-
-
 def classify(points, centroids) -> np.ndarray:
     """Nearest-centroid assignment; ties go to the lowest centroid index.
 
@@ -230,11 +223,15 @@ def classify(points, centroids) -> np.ndarray:
     the (R, N) result is then classify(points, centroids[r]), bit for bit.
     Takes validated input: (N, d) points and at least one centroid per set.
 
+    The sets are classified in blocks of as many as fit BUDGET bytes, at
+    least one: N K d floats per set below GRAM_MIN_D (sq_dist holds at most
+    three (block, N, K) arrays), N K from it on (one G block).
+
     The result is always np.argmin of the sq_dist values.  Below GRAM_MIN_D
     they are computed for every pair.  From it on a point takes the argmin b of
-    G = ||x||^2 + ||c||^2 - 2 x.c, one matmul over all R K centroids, where
-    a rounding-error bound certifies it, and the sq_dist argmin, computed for
-    that point and set alone, where it does not.
+    G = ||x||^2 + ||c||^2 - 2 x.c, one matmul over all the block's centroids,
+    where a rounding-error bound certifies it, and the sq_dist argmin, computed
+    for that point and set alone, where it does not.
 
     The certificate (bounds as in Higham, Accuracy and Stability of
     Numerical Algorithms, 2002, ch. 3).  Let u = 2^-53, gamma_n =
@@ -257,40 +254,45 @@ def classify(points, centroids) -> np.ndarray:
     rounding of the test itself while (d + 2) u < 0.1.  A tie fails the
     strict test.
     Squared norms above 2^1020 (or NaN) skip the test, so nothing in it
-    overflows, and every point of every set is then recomputed with sq_dist,
-    in blocks of at most BUDGET bytes.
+    overflows, and every point of every set in the block is then recomputed
+    with sq_dist, in blocks of at most BUDGET bytes.
     """
     d, k = points.shape[-1], centroids.shape[-2]
-    if d < GRAM_MIN_D:
-        return np.argmin(sq_dist(points[:, None, :], centroids[..., None, :, :]), axis=-1)
     lead, n = centroids.shape[:-2], points.shape[0]
     sets = centroids.reshape(-1, k, d)
-    flat = sets.reshape(-1, d)
+    blocks = range(0, len(sets), max(1, BUDGET // (8 * n * k * (d if d < GRAM_MIN_D else 1))))
+    if d < GRAM_MIN_D:
+        best = [np.argmin(sq_dist(points[:, None, :], sets[lo : lo + blocks.step, None]), axis=-1)
+                for lo in blocks]
+        return np.concatenate(best).reshape(lead + (n,))
+    out = np.empty((n, len(sets)), dtype=np.intp)
     xx = np.einsum("ij,ij->i", points, points)
-    cc = np.einsum("ij,ij->i", flat, flat)
-    best = np.zeros((n, len(sets)), dtype=np.intp)
-    certified = np.zeros(best.shape, dtype=bool)
-    if xx.max() <= 2.0**1020 and cc.max() <= 2.0**1020:
-        g = points @ flat.T
-        g *= -2.0
-        g += cc
-        g += xx[:, None]
-        g = g.reshape(n, len(sets), k)
-        best = np.argmin(g, axis=-1)
-        c1 = 8 * (d + 2) * 2.0**-53
-        ec = (c1 * cc).reshape(len(sets), k)
-        upper = g.min(axis=-1)
-        upper += ec[np.arange(len(sets)), best]
-        upper += (2 * c1) * xx[:, None] + (d + 2) * 2.0**-1068
-        g -= ec
-        g.reshape(-1, k)[np.arange(best.size), best.ravel()] = np.inf
-        certified = upper < g.min(axis=-1)
-    rows, cols = np.nonzero(~certified)
-    step = max(1, BUDGET // (8 * k * d))
-    for lo in range(0, len(rows), step):
-        i, r = rows[lo : lo + step], cols[lo : lo + step]
-        best[i, r] = np.argmin(sq_dist(points[i, None, :], sets[r]), axis=-1)
-    return np.moveaxis(best.reshape((n,) + lead), 0, -1)
+    for lo in blocks:
+        block, best = sets[lo : lo + blocks.step], out[:, lo : lo + blocks.step]
+        flat = block.reshape(-1, d)
+        cc = np.einsum("ij,ij->i", flat, flat)
+        certified = np.zeros(best.shape, dtype=bool)
+        if xx.max() <= 2.0**1020 and cc.max() <= 2.0**1020:
+            g = points @ flat.T
+            g *= -2.0
+            g += cc
+            g += xx[:, None]
+            g = g.reshape(n, len(block), k)
+            np.argmin(g, axis=-1, out=best)
+            c1 = 8 * (d + 2) * 2.0**-53
+            ec = (c1 * cc).reshape(len(block), k)
+            upper = g.min(axis=-1)
+            upper += ec[np.arange(len(block)), best]
+            upper += (2 * c1) * xx[:, None] + (d + 2) * 2.0**-1068
+            g -= ec
+            g.reshape(-1, k)[np.arange(best.size), best.ravel()] = np.inf
+            certified = upper < g.min(axis=-1)
+        rows, cols = np.nonzero(~certified)
+        step = max(1, BUDGET // (8 * k * d))
+        for at in range(0, len(rows), step):
+            i, r = rows[at : at + step], cols[at : at + step]
+            best[i, r] = np.argmin(sq_dist(points[i, None, :], block[r]), axis=-1)
+    return out.T.reshape(lead + (n,))
 
 
 def distortion(points_raw, centroids, assignments) -> float:

@@ -60,16 +60,19 @@ def main(argv=None) -> int:
             return 0
         with open(args.config) as fh:
             raw = json.load(fh)
-        env_seed = os.environ.get("CENTREX_SEED")
-        if env_seed is not None and isinstance(raw, dict):
-            # Set before the config is built, which draws a dim100k10 layout from it.
-            raw["seed"] = int(env_seed)
+        if isinstance(raw, dict):
+            # Set before the config is built, which draws a dim100k10 layout from
+            # the seed and checks the fields each listed algorithm uses.
+            env_seed = os.environ.get("CENTREX_SEED")
+            if env_seed is not None:
+                raw["seed"] = int(env_seed)
+            listed = raw.get("algorithms", [])
+            if args.command in ("centrex", "decentrex"):
+                raw["algorithms"] = [args.command]
+            elif args.command == "kmeans" and isinstance(listed, list):
+                kmeans = [a for a in listed if isinstance(a, str) and a.startswith("kmeans")]
+                raw["algorithms"] = kmeans or ["kmeans10", "kmeans100"]
         config = ExperimentConfig.from_mapping(raw)
-        if args.command in ("centrex", "decentrex"):
-            config.algorithms = (args.command,)
-        elif args.command == "kmeans":
-            kmeans_algos = tuple(a for a in config.algorithms if a.startswith("kmeans"))
-            config.algorithms = kmeans_algos or ("kmeans10", "kmeans100")
         rows = run_experiment(config, out_dir=args.out)
         if args.out is None:
             json.dump(rows, sys.stdout, indent=2, default=float)

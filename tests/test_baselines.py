@@ -6,14 +6,13 @@ from oracles import lloyd, lloyd_replicated
 
 from centrex import baselines
 from centrex.baselines import (
-    BUDGET,
     KMeansConfig,
     centrex_gaussian,
     kmeans_lloyd,
     kmeans_replicated,
     kmeanspp_seed,
 )
-from centrex.centralized import Dataset, classify, distortion, h_map, sigma_lim
+from centrex.centralized import BUDGET, Dataset, classify, distortion, h_map, sigma_lim
 from centrex.harness import ExperimentConfig, classification_error, generate_dataset
 from centrex.statfn import KernelSpec
 
@@ -237,13 +236,15 @@ class TestBatchedLloydMatchesOracle:
 
 class TestMemoryBudget:
     """One kmeans100 call stays within 3 BUDGET bytes: the temporaries of one
-    classify call or one centroid update, plus arrays of R K d floats.  At
-    d = 2 classify holds at most three (chunk, N, K) arrays, 1.5 BUDGET in
-    all, and an unchunked batch would be 4.7 MiB.  At d = 100 the 100
-    replicates run as one chunk: classify holds one (N, chunk, K) array of
-    0.76 BUDGET, the centroids and their chunk copy 0.76 BUDGET each, and the
-    update's (sub, N, d) values and indices fit in BUDGET; a (chunk, N, K, d)
-    difference array would be 80 MiB."""
+    classify block or one centroid update, plus arrays of R N indices and of
+    R K d floats.  classify takes as many centroid sets per block as fit
+    BUDGET: at d = 2 it holds at most three (block, N, K) arrays, 1.5 BUDGET
+    in all, and all 100 sets in one block would be 3.7 MiB.  The update holds
+    (R N) slot and weight arrays, 0.3 BUDGET each at dim2k4.  At d = 100 the
+    100 replicates fit one block: classify holds one (N, R, K) array of 0.76
+    BUDGET, and the centroid stack and its centroids[active] copy take 0.76
+    BUDGET each; an (R, N, K, d) difference array would be 76 MiB, and an
+    (R, N, d) one 7.6 MiB."""
 
     @pytest.mark.parametrize("scenario", ["dim2k4", "dim100k10"])
     def test_kmeans100_peak(self, scenario):

@@ -189,18 +189,24 @@ class TestClassify:
             ]
             assert np.array_equal(got, want)
 
-    def test_stacked_centroid_sets_match_one_set_at_a_time(self):
+    def test_stacked_centroid_sets_match_one_set_at_a_time(self, monkeypatch):
         rng = np.random.default_rng(3)
         for d in (1, 2, 7, 8, 100):
             pts = rng.normal(size=(50, d))
             cents = rng.normal(size=(6, 4, d))
             cents[1, 3] = cents[1, 1]  # duplicate centroid: ties go to index 1
             cents[2] = 0.0  # all four tie: everything goes to index 0
-            got = classify(pts, cents)
-            assert got.shape == (6, 50)
-            for r in range(6):
-                assert np.array_equal(got[r], classify(pts, cents[r]))
-            assert not np.any(got[1] == 3) and np.all(got[2] == 0)
+            # classify budgets N K d floats per set below GRAM_MIN_D, N K from it
+            # on: take all 6 sets in one block, then 1, 2 and 5 (a partial last
+            # block) at a time.
+            per_set = 8 * 50 * 4 * (d if d < centralized.GRAM_MIN_D else 1)
+            for sets_per_block in (6, 1, 2, 5):
+                monkeypatch.setattr(centralized, "BUDGET", per_set * sets_per_block)
+                got = classify(pts, cents)
+                assert got.shape == (6, 50)
+                for r in range(6):
+                    assert np.array_equal(got[r], classify(pts, cents[r]))
+                assert not np.any(got[1] == 3) and np.all(got[2] == 0)
 
 
 def _argmin_of_sums(points, centroids):

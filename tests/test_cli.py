@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from centrex import cli
 from centrex.cli import main
 
 
@@ -83,6 +84,28 @@ def test_seed_env_override_equals_seed_in_file(tmp_path, monkeypatch):
     assert main(["kmeans", "run", "--config", str(env_cfg), "--out", str(tmp_path / "env")]) == 0
     want = (tmp_path / "file" / "results.csv").read_bytes()
     assert (tmp_path / "env" / "results.csv").read_bytes() == want
+
+
+def test_subcommand_checks_only_its_own_algorithm(small_config, tmp_path):
+    # update_l = 0 is invalid for decentrex alone, which the file lists but
+    # the centrex subcommand does not run.
+    cfg = json.loads(small_config.read_text())
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({**cfg, "algorithms": ["centrex", "decentrex"], "update_l": 0}))
+    assert main(["centrex", "run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_decentrex_subcommand_rejects_its_fields_before_running(
+    small_config, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: calls.append(args))
+    cfg = json.loads(small_config.read_text())
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({**cfg, "update_l": 0}))
+    assert main(["decentrex", "run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not calls
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
