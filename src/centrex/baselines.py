@@ -131,7 +131,7 @@ def _best_of(data: Dataset, config: KMeansConfig, rngs) -> ClusteringResult:
         raise ValueError("k cannot exceed the number of points")
     centroids = np.stack([_seeds(points, config, rng) for rng in rngs])
     assignments, iterations = _batched_lloyd(points, centroids, config.max_iter)
-    best = int(np.argmin([distortion(points, c, a) for c, a in zip(centroids, assignments)]))
+    best = int(np.argmin(distortion(points, centroids, assignments)))
     assign = assignments[best].copy()
     return ClusteringResult(
         centroids=centroids[best].copy(),

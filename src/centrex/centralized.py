@@ -208,12 +208,18 @@ def fuse(centroids, support_counts, r: float, wald_cfg: WaldConfig):
     return np.asarray(cents), np.asarray(counts)
 
 
-# classify takes the certified Gram argmin from this many coordinates on.  It
-# gives the same result at every d, but on one 2-vCPU host it took 1.3 to 3.6
-# times as long per call as the sq_dist argmin for ten (4, d) centroid sets at
-# N = 400 and d = 2 to 7, against 0.81 times at d = 8.  Taken at d = 2 as
-# well, it slowed planar's and gossip's median cells by 60% and 23%.
+# classify takes the certified Gram argmin from GRAM_MIN_D coordinates on, and
+# there only where the every-pair sq_dist argmin would cover GRAM_MIN_FLOATS
+# or more differences, N R K d for N points and R (K, d) sets; both give the
+# same result.  Measured per call on one 2-vCPU host: for ten (4, d) sets at
+# N = 400 the Gram argmin took 1.3 to 3.6 times as long at d = 2 to 7 and
+# 0.81 times at d = 8 (taken at d = 2 it slowed planar's and gossip's median
+# cells by 60% and 23%).  Over N = 1 to 400, R = 1, 10, 100, K = 2, 4, 10 and
+# d = 8, 16, 100 it drew level between about 6 400 and 40 000 differences,
+# most often near 16 000 (at K = 2 and d = 8, 16 it stayed up to twice as
+# slow throughout); for one point and one set it took 2.7 to 5.6 times as long.
 GRAM_MIN_D = 8
+GRAM_MIN_FLOATS = 1 << 14
 
 
 def classify(points, centroids) -> np.ndarray:
@@ -224,11 +230,12 @@ def classify(points, centroids) -> np.ndarray:
     Takes validated input: (N, d) points and at least one centroid per set.
 
     The sets are classified in blocks of as many as fit BUDGET bytes, at
-    least one: N K d floats per set below GRAM_MIN_D (sq_dist holds at most
-    three (block, N, K) arrays), N K from it on (one G block).
+    least one: N K d floats per set on the sq_dist path (sq_dist holds at most
+    three (block, N, K) arrays), N K on the Gram path (one G block).
 
-    The result is always np.argmin of the sq_dist values.  Below GRAM_MIN_D
-    they are computed for every pair.  From it on a point takes the argmin b of
+    The result is always np.argmin of the sq_dist values.  Below GRAM_MIN_D,
+    or below GRAM_MIN_FLOATS point-centroid differences in all, they are
+    computed for every pair.  Otherwise a point takes the argmin b of
     G = ||x||^2 + ||c||^2 - 2 x.c, one matmul over all the block's centroids,
     where a rounding-error bound certifies it, and the sq_dist argmin, computed
     for that point and set alone, where it does not.
@@ -260,8 +267,9 @@ def classify(points, centroids) -> np.ndarray:
     d, k = points.shape[-1], centroids.shape[-2]
     lead, n = centroids.shape[:-2], points.shape[0]
     sets = centroids.reshape(-1, k, d)
-    blocks = range(0, len(sets), max(1, BUDGET // (8 * n * k * (d if d < GRAM_MIN_D else 1))))
-    if d < GRAM_MIN_D:
+    gram = d >= GRAM_MIN_D and n * sets.size >= GRAM_MIN_FLOATS
+    blocks = range(0, len(sets), max(1, BUDGET // (8 * n * k * (1 if gram else d))))
+    if not gram:
         best = [np.argmin(sq_dist(points[:, None, :], sets[lo : lo + blocks.step, None]), axis=-1)
                 for lo in blocks]
         return np.concatenate(best).reshape(lead + (n,))
@@ -295,13 +303,26 @@ def classify(points, centroids) -> np.ndarray:
     return out.T.reshape(lead + (n,))
 
 
-def distortion(points_raw, centroids, assignments) -> float:
+def distortion(points_raw, centroids, assignments):
     """Mean distance to the assigned centroid, raw units.
 
-    Takes validated input: (N, d) points, (K, d) centroids and N indices into them.
+    Takes validated input: (N, d) points, (K, d) centroids and N indices into
+    them, for a float; or (R, K, d) centroid sets and (R, N) indices, for the
+    (R,) array whose entry r is distortion(points_raw, centroids[r],
+    assignments[r]), bit for bit.  The sets are taken in blocks of as many as
+    fit BUDGET bytes at 3 N d floats per set (the assigned centroids and
+    sq_dist's two temporaries), at least one.
     """
-    dists = np.sqrt(sq_dist(points_raw, centroids[assignments]))
-    return float(np.mean(dists))
+    n, d = points_raw.shape
+    k, flat, rows = centroids.shape[-2], centroids.reshape(-1, d), np.reshape(assignments, (-1, n))
+    step = max(1, BUDGET // (24 * n * d))
+    means = []
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo : lo + step]
+        index = chunk + k * np.arange(lo, lo + len(chunk))[:, None]  # set r is rows r K.. of flat
+        means.append(np.mean(np.sqrt(sq_dist(points_raw, flat.take(index, axis=0))), axis=1))
+    means = np.concatenate(means)
+    return float(means[0]) if centroids.ndim == 2 else means
 
 
 def run_centrex(

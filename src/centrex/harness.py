@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import re
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -211,8 +212,8 @@ def _run_algorithm(name, config, data, seed) -> _Cell:
     elif name == "kmeanspp":
         cfg = KMeansConfig(k=config.k, init="plusplus", replicates=1, seed=_as_int_seed(seed))
         results = [kmeans_replicated(data, cfg)]
-    elif name.startswith("kmeans"):
-        replicates = int(name[len("kmeans") :] or "1")
+    elif match := re.fullmatch(r"kmeans(\d*)", name):
+        replicates = int(match[1] or "1")
         cfg = KMeansConfig(k=config.k, init="uniform", replicates=replicates, seed=_as_int_seed(seed))
         results = [kmeans_replicated(data, cfg)]
     else:

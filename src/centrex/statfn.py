@@ -8,6 +8,11 @@ the process.
 
 One norm test marks points (WaldConfig), weights them (its p-value, weight)
 and, scaled by fusion_sigma, merges centroids.
+
+The chi-square functions come from scipy.special (gammaincc, chdtri, and
+the density expression of scipy.stats.chi2.pdf), so importing this module
+does not load scipy.stats; scipy.integrate and scipy.optimize serve the
+r_squared quadrature and the threshold_mu root.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 from scipy.optimize import brentq
-from scipy.special import gammaincc
-from scipy.stats import chi2
+from scipy.special import chdtri, gammaincc, gammaln, xlogy
 
 __all__ = [
     "KernelSpec",
@@ -123,6 +127,11 @@ def weight(kernel: KernelSpec, u):
     return np.exp(-kernel.beta * u)
 
 
+def _chi2_pdf(s, d):
+    """Density of chi2_d at s, the expression scipy.stats.chi2.pdf evaluates."""
+    return np.exp(xlogy(d / 2 - 1, s) - s / 2 - gammaln(d / 2) - (np.log(2) * d) / 2)
+
+
 @functools.lru_cache(maxsize=None)
 def r_squared(
     kernel: KernelSpec, method: str = "quadrature", sample_count: int = 10000, seed: int = 0
@@ -136,11 +145,11 @@ def r_squared(
     """
     d = kernel.d
     if method == "quadrature":
-        upper = float(chi2.isf(1e-16, d))
+        upper = float(chdtri(d, 1e-16))  # chi2_d's 1e-16 upper quantile
 
         def ew(power):
             val, _ = integrate.quad(
-                lambda s: weight(kernel, s) ** power * chi2.pdf(s, d),
+                lambda s: weight(kernel, s) ** power * _chi2_pdf(s, d),
                 0.0,
                 upper,
                 epsabs=0.0,
@@ -149,16 +158,19 @@ def r_squared(
             )
             return val
 
-        value = float(ew(2) / ew(1) ** 2)
+        second, first = ew(2), ew(1)
     elif method == "montecarlo":
         if sample_count < 1000:
             raise ValueError("montecarlo needs at least 1000 samples")
         rng = np.random.default_rng(seed)
         s = np.sum(rng.standard_normal((sample_count, d)) ** 2, axis=1)
         w = weight(kernel, s)
-        value = float(np.mean(w**2) / np.mean(w) ** 2)
+        second, first = np.mean(w**2), np.mean(w)
     else:
         raise ValueError(f"unknown method {method!r}")
+    if not first**2 > 0.0:
+        raise ValueError(f"E[w]^2 underflows for {kernel}, so r^2 cannot be computed")
+    value = float(second / first**2)
     if value < 1.0 - 1e-9:
         raise ValueError("r^2 cannot be below 1 (Jensen)")
     return value

@@ -196,10 +196,11 @@ class TestClassify:
             cents = rng.normal(size=(6, 4, d))
             cents[1, 3] = cents[1, 1]  # duplicate centroid: ties go to index 1
             cents[2] = 0.0  # all four tie: everything goes to index 0
-            # classify budgets N K d floats per set below GRAM_MIN_D, N K from it
-            # on: take all 6 sets in one block, then 1, 2 and 5 (a partial last
-            # block) at a time.
-            per_set = 8 * 50 * 4 * (d if d < centralized.GRAM_MIN_D else 1)
+            # classify budgets N K d floats per set on the sq_dist path, N K on
+            # the Gram path: take all 6 sets in one block, then 1, 2 and 5 (a
+            # partial last block) at a time.
+            gram = d >= centralized.GRAM_MIN_D and 50 * cents.size >= centralized.GRAM_MIN_FLOATS
+            per_set = 8 * 50 * 4 * (1 if gram else d)
             for sets_per_block in (6, 1, 2, 5):
                 monkeypatch.setattr(centralized, "BUDGET", per_set * sets_per_block)
                 got = classify(pts, cents)
@@ -207,6 +208,36 @@ class TestClassify:
                 for r in range(6):
                     assert np.array_equal(got[r], classify(pts, cents[r]))
                 assert not np.any(got[1] == 3) and np.all(got[2] == 0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("d", [8, 100])
+    def test_few_points_take_the_sq_dist_argmin(self, d, n, monkeypatch):
+        # One sensor's label (N = 1) is far below GRAM_MIN_FLOATS differences.
+        calls = []
+
+        def spied(a, b):
+            calls.append(np.shape(a))
+            return sq_dist(a, b)
+
+        monkeypatch.setattr(centralized, "sq_dist", spied)
+        rng = np.random.default_rng(d + n)
+        cents = rng.normal(size=(10, d))
+        cents[7] = cents[2]  # duplicate centroid: ties go to index 2
+        pts = np.concatenate([cents[[2]], rng.normal(size=(n - 1, d))])
+        got = classify(pts, cents)
+        assert np.array_equal(got, _argmin_of_sums(pts, cents))
+        assert got[0] == 2
+        assert calls == [(n, 1, d)]
+        calls.clear()
+        stacked = rng.normal(size=(3, 10, d))
+        assert np.array_equal(classify(pts, stacked), _argmin_of_sums(pts, stacked))
+        assert calls == [(n, 1, d)]
+
+    def test_many_points_take_the_gram_argmin(self, fallbacks):
+        rng = np.random.default_rng(5)
+        pts, cents = rng.normal(size=(400, 100)), rng.normal(size=(10, 100))
+        assert np.array_equal(classify(pts, cents), _argmin_of_sums(pts, cents))
+        assert fallbacks[0] == 0  # every argmin certified, nothing recomputed
 
 
 def _argmin_of_sums(points, centroids):
@@ -229,7 +260,12 @@ def fallbacks(monkeypatch):
 
 class TestClassifyCertificate:
     """From d = 8 classify certifies a Gram-matrix argmin and recomputes the
-    pairs it cannot certify: the result is np.argmin of np.sum, bit for bit."""
+    pairs it cannot certify: the result is np.argmin of np.sum, bit for bit.
+    These inputs are small, so the Gram path is taken at any size here."""
+
+    @pytest.fixture(autouse=True)
+    def gram_at_any_size(self, monkeypatch):
+        monkeypatch.setattr(centralized, "GRAM_MIN_FLOATS", 0)
 
     @pytest.mark.parametrize("sets", [(), (6,)])
     @pytest.mark.parametrize("d", [8, 9, 33, 100])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centrex import centralized
 from centrex.harness import (
     ExperimentConfig,
     classification_error,
@@ -178,6 +179,20 @@ class TestDistortion:
         got = distortion(pts, cents, np.zeros(10_000, dtype=int))
         assert got == pytest.approx(math.sqrt(math.pi / 2), abs=0.03)
 
+    @pytest.mark.parametrize("d", [1, 2, 8, 9, 100])
+    def test_stacked_sets_match_one_set_at_a_time(self, d, monkeypatch):
+        rng = np.random.default_rng(d)
+        pts = rng.normal(size=(60, d)) * 10
+        cents = rng.normal(size=(7, 3, d)) * 10
+        assign = rng.integers(3, size=(7, 60))
+        want = [float(np.mean(np.sqrt(np.sum((pts - c[a]) ** 2, axis=-1)))) for c, a in zip(cents, assign)]
+        assert [distortion(pts, c, a) for c, a in zip(cents, assign)] == want
+        # Blocks of all 7 sets, then 1, 2 and 5 (a partial last block).
+        for sets_per_block in (7, 1, 2, 5):
+            monkeypatch.setattr(centralized, "BUDGET", 24 * 60 * d * sets_per_block)
+            got = distortion(pts, cents, assign)
+            assert got.shape == (7,) and got.tolist() == want
+
     def test_scales_with_sigma(self):
         cfg = ExperimentConfig(scenario="dim2k4", sigmas=(1.0,))
         ratios = []
@@ -230,3 +245,10 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["centrex"][0]["trials"] == 3
         assert 0.0 <= summary["centrex"][0]["pe_mean"] <= 1.0
+
+    @pytest.mark.parametrize("name", ["kmeansx", "kmeans1.5", "kmeans-3", "kmeans 2", "kmeans²"])
+    def test_malformed_kmeans_name_is_an_unknown_algorithm(self, name):
+        # Names are checked when their cell runs, after the kmeans cell before it.
+        cfg = self._small_config(algorithms=("kmeans", name))
+        with pytest.raises(ValueError, match=f"unknown algorithm {name!r}"):
+            run_experiment(cfg)

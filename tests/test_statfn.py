@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 import centrex
 from centrex import statfn
@@ -120,6 +121,28 @@ class TestRSquared:
         got = r_squared(KernelSpec("gaussian", d, beta=b))
         assert got == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "kind, d, beta, want",
+        [
+            ("wald", 1, 1.0, "0x1.2b7a821ad8b41p+0"),
+            ("wald", 2, 1.0, "0x1.2000000000000p+0"),
+            ("wald", 7, 1.0, "0x1.0d05325c79510p+0"),
+            ("wald", 100, 1.0, "0x1.00004eca9bc9cp+0"),
+            ("wald", 300, 1.0, "0x1.0000000000190p+0"),
+            ("gaussian", 4, 0.5, "0x1.c71c71c71c71dp+0"),
+            ("gaussian", 100, 2.0, "0x1.9ee1f379b9c5bp+73"),
+            ("gaussian", 300, 0.1, "0x1.11abb9397ce99p+6"),
+        ],
+    )
+    def test_quadrature_values_pinned(self, kind, d, beta, want):
+        # Recorded when the chi2_d quantile and density came from scipy.stats.chi2.
+        assert r_squared.__wrapped__(KernelSpec(kind, d, beta=beta)).hex() == want
+
+    def test_underflowing_mean_weight_rejected(self):
+        # E[w] = 5^-250 for this kernel, and its square underflows to zero.
+        with pytest.raises(ValueError, match=r"underflows for KernelSpec\(kind='gaussian', d=500"):
+            r_squared.__wrapped__(KernelSpec("gaussian", 500, beta=2.0))
+
     def test_invalid_value_rejected(self, monkeypatch):
         # A quadrature giving 2 for both expectations makes r^2 = 2 / 2^2 = 0.5,
         # below Jensen's bound of 1, which r_squared must refuse.
@@ -184,6 +207,19 @@ class TestGaussianMomentIdentities:
                     assert abs(M[i, j]) <= 5 * se[i, j]
 
 
+class TestChi2FromSpecialFunctions:
+    """r_squared takes chi2_d's quantile and density from scipy.special with
+    the bits scipy.stats.chi2 gives."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 50, 100, 120, 200, 300, 500])
+    def test_density_matches_scipy_stats(self, d):
+        upper = chi2.isf(1e-16, d)
+        assert statfn.chdtri(d, 1e-16) == upper
+        grid = np.concatenate([np.geomspace(1e-300, 1.0, 200), np.linspace(1e-3, upper, 2000)])
+        got = np.array([statfn._chi2_pdf(float(s), d) for s in grid])
+        assert np.array_equal(got, chi2.pdf(grid, d))
+
+
 class TestMemoizedConstants:
     def test_r_squared_returns_one_object_per_arguments(self):
         kernel = KernelSpec("gaussian", 3, beta=0.5)
@@ -206,3 +242,17 @@ class TestMemoizedConstants:
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["0", "0"]
+
+    def test_running_a_pipeline_does_not_import_scipy_stats(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import centrex, centrex.cli\n"
+            "pts = np.random.default_rng(0).normal(size=(20, 2)) + np.repeat([[0.0, 0.0], [9.0, 9.0]], 10, axis=0)\n"
+            "centrex.run_centrex(centrex.Dataset(points=pts, sigma=1.0))\n"
+            "print('scipy.stats' in sys.modules)"
+        )
+        src = str(Path(centrex.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False"]
