@@ -8,6 +8,7 @@ classifying every point to its nearest centroid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -182,30 +183,44 @@ def fuse(centroids, support_counts, r: float, wald_cfg: WaldConfig):
     """Merge centroid estimates that a pairwise norm test declares identical.
 
     A pair is identical when its distance is at most wald_cfg.threshold times
-    the fusion_sigma of its two supports.
+    the fusion_sigma of its two supports.  Pairs (k1 < k2) are scanned in
+    lexicographic order; a merge replaces k1 by the midpoint, removes k2, sums
+    the two supports, and restarts the scan.  Terminates since every merge
+    shortens the list.
 
-    Pairs (k1 < k2) are scanned in lexicographic order; a merge replaces k1 by
-    the midpoint, removes k2, sums the two supports, and restarts the scan.
-    Terminates since every merge shortens the list.  Takes validated input:
-    a nonempty sequence of (d,) arrays with positive supports, and r > 0.
+    The estimates are all (d,) centroids (CENTREx) or all (n, d) blocks, row s
+    being sensor s's (DeCENTREx).  One scan serves all rows: rows that took the
+    same merges have the same supports, hence one threshold per pair.  Where a
+    pair passes on some rows only, those rows merge and restart, and the rest
+    go on to the next pair.  Midpoints are written into the estimates in place,
+    and the pair distance is np.linalg.norm's dot product row by row, so each
+    row gets the bits of a scan of its own list.  Takes validated input: a
+    nonempty sequence of estimates with positive supports, and r > 0.
+
+    Returns [(rows, cents, counts)], a group per merge history: `rows` indexes
+    its rows (... for all), `cents` is (K', d), or (m, K', d) for m rows, and
+    `counts` the (K',) supports.
     """
-    cents, counts = list(centroids), list(support_counts)
-    mu = wald_cfg.threshold
-    merged = True
-    while merged:
-        merged = False
-        for k1 in range(len(cents)):
-            for k2 in range(k1 + 1, len(cents)):
-                thr = fusion_sigma(r, counts[k1], counts[k2]) * mu
-                if np.linalg.norm(cents[k1] - cents[k2]) <= thr:
-                    cents[k1] = 0.5 * (cents[k1] + cents[k2])
-                    counts[k1] += counts[k2]
-                    del cents[k2], counts[k2]
-                    merged = True
+    mu, groups = wald_cfg.threshold, []
+    todo = [(..., list(range(len(centroids))), list(support_counts))]
+    while todo:
+        rows, keep, counts = todo.pop()
+        for k1, k2 in itertools.combinations(range(len(keep)), 2):
+            a, b = centroids[keep[k1]], centroids[keep[k2]]
+            diff = a[rows] - b[rows]
+            near = np.sqrt(np.vecdot(diff, diff)) <= fusion_sigma(r, counts[k1], counts[k2]) * mu
+            if hits := np.count_nonzero(near):
+                merged = rows if hits == near.size else np.arange(len(a))[rows][near]
+                a[merged] = 0.5 * (a[merged] + b[merged])
+                merged_counts = counts[:k2] + counts[k2 + 1 :]
+                merged_counts[k1] += counts[k2]
+                todo.append((merged, keep[:k2] + keep[k2 + 1 :], merged_counts))
+                if merged is rows:
                     break
-            if merged:
-                break
-    return np.asarray(cents), np.asarray(counts)
+                rows = np.arange(len(a))[rows][~near]
+        else:
+            groups.append((rows, np.stack([centroids[k][rows] for k in keep], axis=-2), np.asarray(counts)))
+    return groups
 
 
 # classify takes the certified Gram argmin from GRAM_MIN_D coordinates on, and
@@ -359,7 +374,7 @@ def run_centrex(
     centroids, counts, iters_per, converged_per = recover(pts, marked, wald_cfg, estimate)
 
     r = math.sqrt(r_squared(kernel))
-    fused_cents, fused_counts = fuse(centroids, counts, r, wald_cfg)
+    [(_, fused_cents, fused_counts)] = fuse(centroids, counts, r, wald_cfg)
     assignments = classify(pts, fused_cents)
     return ClusteringResult(
         centroids=fused_cents * data.sigma,

@@ -5,7 +5,8 @@ perfect links.  A round of T slots estimates one centroid network-wide in
 epochs of L slots, each a fixed-point step of h_map, and each sensor marks its
 own observation.  Rounds run in CENTREx's loop, centralized.recover, which
 records each round's epochs and whether every sensor took P/Q at its end.
-At the end each sensor fuses and classifies locally.
+At the end each sensor fuses and labels locally; sensors that take the same
+merges share one fuse scan and one nearest-centroid argmin.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centralized import BUDGET, ClusteringResult, Dataset, classify, fuse, recover, sq_dist
+from .centralized import BUDGET, ClusteringResult, Dataset, fuse, recover, sq_dist
+from .centralized import classify  # noqa: F401  (benchmarks/tracer.py traces decentralized.classify)
 from .statfn import KernelSpec, WaldConfig, r_squared, weight
 
 __all__ = [
@@ -148,7 +150,8 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     (its centroids after local fusion, the label of its own observation, and
     per round the epochs, ceil(T / L), and whether every sensor took P/Q at
     its end), messages the sum of slot_step's counts.  Deterministic for a
-    given (data, config).  Sensor s's centroids are row s of the round estimates.
+    given (data, config).  Sensor s's centroids are row s of the round estimates,
+    all fused by one fuse call; its label is classify's, from one sq_dist argmin.
     """
     pts = data.normalized_points()
     n, d = pts.shape
@@ -174,19 +177,16 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     # Local fusion: sensors cannot observe per-cluster supports, so each one
     # uses the network-wide surrogate N / (number of rounds).
     r = math.sqrt(r_squared(kernel))
-    counts = [n / len(rounds)] * len(rounds)
-    results = []
-    for s in range(n):
-        cents, fused_counts = fuse([est[s] for est in rounds], counts, r, wald_cfg)
-        label = int(classify(pts[s : s + 1], cents)[0])
-        results.append(
-            ClusteringResult(
-                centroids=cents * data.sigma,
+    results = [None] * n
+    for rows, cents, fused_counts in fuse(rounds, [n / len(rounds)] * len(rounds), r, wald_cfg):
+        labels = np.argmin(sq_dist(pts[rows][:, None, :], cents), axis=-1)
+        for s, sensor_cents, label in zip(np.arange(n)[rows], cents * data.sigma, labels):
+            results[s] = ClusteringResult(
+                centroids=sensor_cents,
                 assignments=np.array([label]),
                 support_counts=np.rint(fused_counts).astype(int),
-                k_hat=len(cents),
+                k_hat=len(fused_counts),
                 iterations_per_centroid=list(iters),
                 converged_per_centroid=list(converged),
             )
-        )
     return results, messages

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from centrex.statfn import fusion_sigma
+
 
 def upper_gamma_regularized(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Gamma(a, x)/Gamma(a).
@@ -188,3 +190,26 @@ def pick_targets(n, fanout, rng):
             t = int(draws[i])
             picks[i].append(j if t in picks[i] else t)
     return np.array([[t + (t >= i) for t in row] for i, row in enumerate(picks)])
+
+
+def scalar_fuse(centroids, support_counts, r, wald_cfg):
+    """Fusion of one list of (d,) estimates, one pair at a time: pairs
+    (k1 < k2) in lexicographic order, a merge replacing k1 by the midpoint,
+    removing k2, summing the supports and restarting the scan."""
+    cents, counts = list(centroids), list(support_counts)
+    mu = wald_cfg.threshold
+    merged = True
+    while merged:
+        merged = False
+        for k1 in range(len(cents)):
+            for k2 in range(k1 + 1, len(cents)):
+                thr = fusion_sigma(r, counts[k1], counts[k2]) * mu
+                if np.linalg.norm(cents[k1] - cents[k2]) <= thr:
+                    cents[k1] = 0.5 * (cents[k1] + cents[k2])
+                    counts[k1] += counts[k2]
+                    del cents[k2], counts[k2]
+                    merged = True
+                    break
+            if merged:
+                break
+    return np.asarray(cents), np.asarray(counts)

@@ -7,6 +7,7 @@ import pytest
 from centrex.baselines import KMeansConfig, kmeans_replicated
 from centrex.centralized import Dataset, run_centrex
 from centrex.decentralized import NetworkConfig, run_decentrex
+from centrex.harness import ExperimentConfig, generate_dataset
 
 
 def _centrex(data):
@@ -92,3 +93,28 @@ def test_degenerate_input(case, pipeline):
             PIPELINES[pipeline](make_data())
     else:
         assert PIPELINES[pipeline](make_data()) == want
+
+
+def _centrex_results(data):
+    return [run_centrex(data)]
+
+
+def _decentrex_results(data):
+    return run_decentrex(data, NetworkConfig(n_sensors=data.n, T=60, L=10))[0]
+
+
+@pytest.mark.parametrize("run", [_centrex_results, _decentrex_results], ids=["centrex", "decentrex"])
+@pytest.mark.parametrize("sigma", [1.5, 2.5])
+def test_scale_equivariance(run, sigma):
+    # Scaling points and sigma by 2^j leaves the normalized points' bits as
+    # they are, so every estimate, merge and label is the same and the raw
+    # centroids scale exactly.
+    data = generate_dataset(ExperimentConfig(scenario="dim2k4", sigmas=(sigma,)), 0)
+    base = run(data)
+    for j in (-3, 5):
+        scaled = run(Dataset(points=data.points * 2.0**j, sigma=sigma * 2.0**j))
+        assert len(scaled) == len(base)
+        for a, b in zip(scaled, base):
+            assert a.k_hat == b.k_hat
+            assert np.array_equal(a.assignments, b.assignments)
+            assert np.array_equal(a.centroids, b.centroids * 2.0**j)

@@ -124,13 +124,13 @@ class TestFuse:
 
     def test_identical_pair_merges(self):
         c = np.array([1.0, 2.0])
-        cents, counts = fuse([c, c.copy()], [10, 10], self.R, self.CFG)
+        [(_, cents, counts)] = fuse([c, c.copy()], [10, 10], self.R, self.CFG)
         assert len(cents) == 1
         assert np.allclose(cents[0], c)
         assert counts[0] == 20
 
     def test_distant_pair_untouched(self):
-        cents, counts = fuse(
+        [(_, cents, counts)] = fuse(
             [np.zeros(2), np.array([1e6, 0.0])], [10, 10], self.R, self.CFG
         )
         assert len(cents) == 2
@@ -138,13 +138,13 @@ class TestFuse:
     def test_threshold_arithmetic(self):
         # separation 0.30 < 0.15 * mu(1e-3) ~ 0.5575 with supports (100, 100)
         a, b = np.zeros(2), np.array([0.30, 0.0])
-        cents, counts = fuse([a, b], [100, 100], self.R, self.CFG)
+        [(_, cents, counts)] = fuse([a, b], [100, 100], self.R, self.CFG)
         assert len(cents) == 1
         assert np.allclose(cents[0], [0.15, 0.0])
 
     def test_chain_merges_terminate(self):
         cents = [np.array([0.05 * i, 0.0]) for i in range(5)]
-        fused, counts = fuse(cents, [100] * 5, self.R, self.CFG)
+        [(_, fused, counts)] = fuse(cents, [100] * 5, self.R, self.CFG)
         assert len(fused) == 1
         assert counts[0] == 500
 

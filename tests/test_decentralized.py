@@ -1,13 +1,17 @@
 import itertools
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import PushSumNetwork, pick_targets
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import PushSumNetwork, pick_targets, scalar_fuse
 from scipy.stats import chisquare
 
 from centrex import decentralized
-from centrex.centralized import Dataset, h_map
+from centrex.centralized import Dataset, classify, fuse, h_map, sigma_lim
 from centrex.decentralized import (
     BUDGET,
     NetworkConfig,
@@ -18,7 +22,7 @@ from centrex.decentralized import (
     slot_step,
 )
 from centrex.harness import ExperimentConfig, classification_error, generate_dataset, run_experiment
-from centrex.statfn import KernelSpec, weight
+from centrex.statfn import KernelSpec, WaldConfig, fusion_sigma, r_squared, weight
 
 KERNEL2 = KernelSpec("wald", 2)
 
@@ -400,3 +404,125 @@ class TestTargetBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 3 * BUDGET
+
+
+def _straddling_rounds(rng, n, k, d, counts, r, wald_cfg):
+    """K (n, d) round estimates in which estimate j sits from an earlier one,
+    row by row, at 1/4, 0.9, 1, 1.1 or 4 times their fusion threshold, so
+    that a pair can pass on some rows and fail on others."""
+    rounds = [rng.standard_normal((n, d)) * 3.0]
+    for j in range(1, k):
+        i = int(rng.integers(j))
+        step = rng.standard_normal(d)
+        step /= np.linalg.norm(step)
+        thr = fusion_sigma(r, counts[i], counts[j]) * wald_cfg.threshold
+        factor = rng.choice([0.25, 0.9, 1.0, 1.1, 4.0], size=(n, 1))
+        rounds.append(rounds[i] + factor * thr * step)
+    return rounds
+
+
+def _group_of_each_row(groups, n):
+    """{row: (group cents, group counts, position in the group)}."""
+    found = {}
+    for rows, cents, counts in groups:
+        for at, s in enumerate(np.arange(n)[rows]):
+            assert s not in found
+            found[int(s)] = (cents, counts, at)
+    assert sorted(found) == list(range(n))
+    return found
+
+
+class TestSharedFuseScan:
+    """fuse on (n, d) blocks gives every row, bit for bit, what the scan of
+    that row's list alone gives, also where a pair splits the rows."""
+
+    def _check_rows(self, rounds, counts, r, wald_cfg):
+        n = len(rounds[0])
+        want = [scalar_fuse([est[s].copy() for est in rounds], counts, r, wald_cfg) for s in range(n)]
+        groups = fuse(rounds, counts, r, wald_cfg)
+        for s, (cents, got_counts, at) in _group_of_each_row(groups, n).items():
+            assert _same_bits(cents[at], want[s][0])
+            assert np.array_equal(got_counts, want[s][1])
+        return groups
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        k=st.integers(1, 8),
+        d=st.sampled_from([1, 2, 8, 100]),
+        supports=st.lists(st.integers(1, 50), min_size=8, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_the_scalar_scan(self, n, k, d, supports, seed):
+        wald_cfg, r = WaldConfig(d=d, gamma=1e-3), math.sqrt(9 / 8)
+        counts = supports[:k]
+        rounds = _straddling_rounds(np.random.default_rng(seed), n, k, d, counts, r, wald_cfg)
+        self._check_rows(rounds, counts, r, wald_cfg)
+
+    def test_rows_split_where_a_pair_straddles(self):
+        # Row 0 merges (0, 1) and then the midpoint with 2; row 1 merges
+        # (0, 2) only; row 2 merges nothing.
+        wald_cfg, r, counts = WaldConfig(d=2, gamma=1e-3), 1.0, [4, 4, 4]
+        thr = fusion_sigma(r, 4, 4) * wald_cfg.threshold
+        rounds = [
+            np.zeros((3, 2)),
+            np.array([[0.5, 0.0], [2.0, 0.0], [2.0, 0.0]]) * thr,
+            np.array([[0.0, 0.5], [0.0, 0.5], [0.0, 2.0]]) * thr,
+        ]
+        groups = self._check_rows(rounds, counts, r, wald_cfg)
+        assert sorted(len(c) for _, _, c in groups) == [1, 2, 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        k=st.integers(1, 8),
+        d=st.sampled_from([1, 2, 8, 100]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sensor_results_match_per_row_fuse_and_classify(self, n, k, d, seed):
+        # run_decentrex on the given round estimates: each sensor's
+        # centroids, supports and label are those of its own scan and of
+        # classify on its own observation.
+        rng = np.random.default_rng(seed)
+        wald_cfg, r = WaldConfig(d=d, gamma=1e-3), math.sqrt(r_squared(KernelSpec("wald", d)))
+        counts = [n / k] * k
+        rounds = _straddling_rounds(rng, n, k, d, counts, r, wald_cfg)
+        near = np.stack(rounds)[rng.integers(k, size=n), np.arange(n)]
+        data = Dataset(points=2.0 * (near + 0.1 * rng.standard_normal((n, d))), sigma=2.0)
+        want = [scalar_fuse([est[s].copy() for est in rounds], counts, r, wald_cfg) for s in range(n)]
+        recovered = ([est.copy() for est in rounds], [1] * k, [3] * k, [True] * k)
+        with mock.patch.object(decentralized, "recover", return_value=recovered):
+            results, _ = run_decentrex(data, NetworkConfig(n_sensors=n, T=3, L=1))
+        pts = data.normalized_points()
+        for s, (result, (cents, fused_counts)) in enumerate(zip(results, want)):
+            assert _same_bits(result.centroids, cents * 2.0)
+            assert np.array_equal(result.support_counts, np.rint(fused_counts).astype(int))
+            assert result.k_hat == len(cents)
+            assert np.array_equal(result.assignments, classify(pts[s : s + 1], cents))
+
+
+def test_fusion_reads_the_round_estimates_in_place(monkeypatch):
+    # On seed 1's dim100k10 layout at 1.05 sigma_lim a run holds about 75
+    # rounds of (100, 100) estimates (6 MB); fusing and labelling them takes
+    # no second copy of them.
+    config = ExperimentConfig(scenario="dim100k10", n=100, seed=1)
+    lim = sigma_lim(config.centroids, 1e-3, 100)
+    data = generate_dataset(config, np.random.SeedSequence([1, 2, 0]), sigma=1.05 * lim)
+    cfg = NetworkConfig(n_sensors=100, T=100, L=10, seed=np.random.SeedSequence([1, 2, 0, 2]))
+    held = []
+    real_recover = decentralized.recover
+
+    def recording_recover(*args):
+        out = real_recover(*args)
+        held.append(sum(est.nbytes for est in out[0]))
+        return out
+
+    monkeypatch.setattr(decentralized, "recover", recording_recover)
+    tracemalloc.start()
+    try:
+        run_decentrex(data, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held[0] > 4e6
+    assert peak < 1.5 * held[0]
