@@ -5,8 +5,10 @@ perfect links.  A round of T slots estimates one centroid network-wide in
 epochs of L slots, each a fixed-point step of h_map, and each sensor marks its
 own observation.  Rounds run in CENTREx's loop, centralized.recover, which
 records each round's epochs and whether every sensor took P/Q at its end.
-At the end each sensor fuses and labels locally; sensors that take the same
-merges share one fuse scan and one nearest-centroid argmin.
+A round's push targets are drawn in blocks and written once per block as flat
+indices into the sensors' lane-major state, so a slot is one np.add.at per
+fanout column.  At the end each sensor fuses and labels locally; sensors that
+take the same merges share one fuse scan and one nearest-centroid argmin.
 """
 
 from __future__ import annotations
@@ -52,8 +54,11 @@ class NetworkConfig:
 
 class SensorNetwork:
     """Vectorized state of all sensors: observation y, estimate, push-sum
-    state [P | Q] as one (n, d+1) row per sensor (P and Q are views of it) and
-    a marked flag; `slot` counts the slots of the current round.
+    state [P | Q] and a marked flag; `slot` counts the slots of the current
+    round.  The states are one lane-major (d+1)·n buffer `flat`, entry c·n + i
+    holding column c of sensor i; `state` is its (n, d+1) view and P and Q are
+    views of that.  `no_update` is the read-only all-False mask of a slot that
+    ends no epoch.
     """
 
     def __init__(self, points: np.ndarray, kernel: KernelSpec):
@@ -61,11 +66,11 @@ class SensorNetwork:
         self.n, self.d = self.y.shape
         self.kernel = kernel
         self.estimate = np.zeros_like(self.y)
-        self.state = np.zeros((self.n, self.d + 1))
+        self.flat = np.zeros((self.d + 1) * self.n)
+        self.state = self.flat.reshape(self.d + 1, self.n).T
         self.P, self.Q = self.state[:, : self.d], self.state[:, self.d]
-        # Column of each entry of the flattened state.
-        self.lane = np.tile(np.arange(self.d + 1), self.n)
         self.marked = np.zeros(self.n, dtype=bool)
+        self.no_update = np.broadcast_to(False, self.n)
         self.slot = 0
 
     def restart(self):
@@ -90,18 +95,16 @@ def init_round(net: SensorNetwork, rng: np.random.Generator) -> int:
     return chosen
 
 
-def _target_blocks(n: int, fanout: int, slots: int, rng: np.random.Generator):
-    """Yield (b, n, fanout) push targets for `slots` slots, b slots at a time.
+def _target_blocks(n: int, fanout: int, slots: int, per_block: int, rng: np.random.Generator):
+    """Yield (b, n, fanout) push targets for `slots` slots, `per_block` at a time.
 
     Entry [s, i] holds the `fanout` distinct targets of sender i in slot s,
-    none equal to i.  A block holds as many slots as fit BUDGET bytes (at
-    least one), and the draws are those of one slot after another: fanout 1
+    none equal to i.  The draws are those of one slot after another: fanout 1
     takes one rng.integers call per block, which PCG64 answers as it would one
     call per slot.  Fanout f > 1 is Floyd's sampling (CACM 1987) for all
     senders at once: column k draws from [0, j], j = n - 1 - f + k, and takes
     j if the draw is taken.
     """
-    per_block = max(1, BUDGET // (8 * n * fanout))
     for start in range(0, slots, per_block):
         b = min(per_block, slots - start)
         if fanout == 1:
@@ -116,31 +119,33 @@ def _target_blocks(n: int, fanout: int, slots: int, rng: np.random.Generator):
         yield block
 
 
-def slot_step(net: SensorNetwork, config: NetworkConfig, targets: np.ndarray):
-    """One synchronous push-sum slot with (n, fanout) push targets.
+def slot_step(net: SensorNetwork, config: NetworkConfig, rows: np.ndarray):
+    """One synchronous push-sum slot on (fanout, (d+1)·n) flat push rows.
 
-    Every sensor keeps 1/(fanout + 1) of its state and pushes that share to
-    each target; receivers add shares in sender order.  This conserves the
-    total, so within an epoch every P/Q tends to sum P / sum Q, which is h_map
-    at the epoch's estimates.  At every L-th slot of the round and at slot T,
-    sensors with Q > 0 set estimate = P/Q (one whose weights all underflowed
-    keeps its estimate) and all restart from their own contribution.
+    Row k holds, in lane then sender order, the entry c·n + t of net.flat that
+    receives column c of sender i's share, t being i's k-th target.  Every
+    sensor keeps 1/(fanout + 1) of its state and pushes that share to each
+    target, one np.add.at per row, so receivers add shares in sender order.
+    This conserves the total, so within an epoch every P/Q tends to
+    sum P / sum Q, which is h_map at the epoch's estimates.  At every L-th
+    slot of the round and at slot T, sensors with Q > 0 set estimate = P/Q
+    (one whose weights all underflowed keeps its estimate) and all restart
+    from their own contribution.
 
-    Returns (messages_sent, updated_mask), the mask marking who set estimate.
+    Returns (messages_sent, updated_mask), the mask marking who set estimate;
+    a slot that ends no epoch returns net.no_update.
     """
-    n, fanout = targets.shape
-    width = net.d + 1
-    net.state /= fanout + 1
-    share = net.state.ravel().copy()
-    for t in targets.T:
-        np.add.at(net.state.ravel(), np.repeat(t * width, width) + net.lane, share)
+    net.flat /= len(rows) + 1
+    share = net.flat.copy()
+    for row in rows:
+        np.add.at(net.flat, row, share)
     net.slot += 1
-    updated = np.zeros(n, dtype=bool)
-    if net.slot % config.L == 0 or net.slot == config.T:
-        updated = net.Q > 0
-        net.estimate[updated] = net.P[updated] / net.Q[updated, None]
-        net.restart()
-    return n * fanout, updated
+    if net.slot % config.L and net.slot != config.T:
+        return net.n * len(rows), net.no_update
+    updated = net.Q > 0
+    net.estimate[updated] = net.P[updated] / net.Q[updated, None]
+    net.restart()
+    return net.n * len(rows), updated
 
 
 def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
@@ -149,9 +154,11 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     Returns (results, messages): results[s] is sensor s's ClusteringResult
     (its centroids after local fusion, the label of its own observation, and
     per round the epochs, ceil(T / L), and whether every sensor took P/Q at
-    its end), messages the sum of slot_step's counts.  Deterministic for a
-    given (data, config).  Sensor s's centroids are row s of the round estimates,
-    all fused by one fuse call; its label is classify's, from one sq_dist argmin.
+    its end), messages the number of pushes, n·fanout in each of a round's T
+    slots.  Deterministic for a given (data, config).  Sensor s's centroids
+    are row s of the round estimates, all fused by one fuse call; its label is
+    classify's, from one sq_dist argmin per group of sensors that took the
+    same merges, which share their supports.
     """
     pts = data.normalized_points()
     n, d = pts.shape
@@ -161,15 +168,17 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     rng = np.random.default_rng(config.seed)
     wald_cfg = WaldConfig(d=d, gamma=gamma)
     net = SensorNetwork(pts, kernel)
-    messages = 0
+    # Flat push rows of as many slots as fit BUDGET bytes, at least one.
+    per_block = min(config.T, max(1, BUDGET // (8 * config.fanout * net.flat.size)))
+    flat_rows = np.empty((per_block, config.fanout, d + 1, n), dtype=np.int64)
+    lanes = np.arange(0, net.flat.size, n)[:, None]
 
     def estimate():
-        nonlocal messages
         chosen = init_round(net, rng)
-        for block in _target_blocks(n, config.fanout, config.T, rng):
-            for targets in block:
-                sent, updated = slot_step(net, config, targets)
-                messages += sent
+        for block in _target_blocks(n, config.fanout, config.T, per_block, rng):
+            rows = np.add(block.transpose(0, 2, 1)[:, :, None], lanes, out=flat_rows[: len(block)])
+            for slot_rows in rows.reshape(len(block), config.fanout, -1):
+                _, updated = slot_step(net, config, slot_rows)
         return chosen, net.estimate.copy(), math.ceil(config.T / config.L), bool(updated.all())
 
     rounds, _, iters, converged = recover(pts, net.marked, wald_cfg, estimate)
@@ -179,14 +188,15 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     r = math.sqrt(r_squared(kernel))
     results = [None] * n
     for rows, cents, fused_counts in fuse(rounds, [n / len(rounds)] * len(rounds), r, wald_cfg):
-        labels = np.argmin(sq_dist(pts[rows][:, None, :], cents), axis=-1)
+        labels = np.argmin(sq_dist(pts[rows][:, None, :], cents), axis=-1)[:, None]
+        supports = np.rint(fused_counts).astype(int)
         for s, sensor_cents, label in zip(np.arange(n)[rows], cents * data.sigma, labels):
             results[s] = ClusteringResult(
                 centroids=sensor_cents,
-                assignments=np.array([label]),
-                support_counts=np.rint(fused_counts).astype(int),
+                assignments=label,
+                support_counts=supports,
                 k_hat=len(fused_counts),
                 iterations_per_centroid=list(iters),
                 converged_per_centroid=list(converged),
             )
-    return results, messages
+    return results, len(rounds) * config.T * n * config.fanout

@@ -240,8 +240,10 @@ def test_criterion_7_property_spotchecks():
     net = SensorNetwork(pts, kernel)
     init_round(net, rng)
     theta0 = net.estimate[0].copy()
-    targets = next(_target_blocks(30, 29, 1, rng))[0]
-    slot_step(net, NetworkConfig(n_sensors=30, T=1, L=30, fanout=29, seed=0), targets)
+    targets = next(_target_blocks(30, 29, 1, 1, rng))[0]
+    # Flat push rows: column c of target t is entry c·30 + t of the state.
+    rows = (targets.T[:, None, :] + np.arange(0, 90, 30)[:, None]).reshape(29, 90)
+    slot_step(net, NetworkConfig(n_sensors=30, T=1, L=30, fanout=29, seed=0), rows)
     checks.append(np.abs(net.estimate - h_map(pts, kernel, theta0)).max() <= 1e-12)
 
     # Test level under the null: rejection rate near gamma.

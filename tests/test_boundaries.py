@@ -95,24 +95,39 @@ def test_degenerate_input(case, pipeline):
         assert PIPELINES[pipeline](make_data()) == want
 
 
-def _centrex_results(data):
+def _centrex_results(data, k):
     return [run_centrex(data)]
 
 
-def _decentrex_results(data):
+def _kmeans10_results(data, k):
+    return [kmeans_replicated(data, KMeansConfig(k=k, replicates=10))]
+
+
+def _decentrex_results(data, k):
     return run_decentrex(data, NetworkConfig(n_sensors=data.n, T=60, L=10))[0]
 
 
-@pytest.mark.parametrize("run", [_centrex_results, _decentrex_results], ids=["centrex", "decentrex"])
-@pytest.mark.parametrize("sigma", [1.5, 2.5])
-def test_scale_equivariance(run, sigma):
+@pytest.mark.parametrize(
+    "run", [_centrex_results, _kmeans10_results, _decentrex_results], ids=["centrex", "kmeans10", "decentrex"]
+)
+@pytest.mark.parametrize(
+    "scenario, sigma",
+    [
+        pytest.param("dim2k4", 1.5, id="1.5"),
+        pytest.param("dim2k4", 2.5, id="2.5"),
+        pytest.param("dim100k10", 3.0, id="dim100k10-3.0"),
+    ],
+)
+def test_scale_equivariance(run, scenario, sigma):
     # Scaling points and sigma by 2^j leaves the normalized points' bits as
     # they are, so every estimate, merge and label is the same and the raw
-    # centroids scale exactly.
-    data = generate_dataset(ExperimentConfig(scenario="dim2k4", sigmas=(sigma,)), 0)
-    base = run(data)
+    # centroids scale exactly; K-means works on the raw points, whose sums
+    # and squared distances scale exactly too.
+    config = ExperimentConfig(scenario=scenario, sigmas=(sigma,))
+    data = generate_dataset(config, 0)
+    base = run(data, config.k)
     for j in (-3, 5):
-        scaled = run(Dataset(points=data.points * 2.0**j, sigma=sigma * 2.0**j))
+        scaled = run(Dataset(points=data.points * 2.0**j, sigma=sigma * 2.0**j), config.k)
         assert len(scaled) == len(base)
         for a, b in zip(scaled, base):
             assert a.k_hat == b.k_hat

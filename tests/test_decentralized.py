@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -31,9 +32,16 @@ def _network(points):
     return SensorNetwork(np.asarray(points, dtype=float), KERNEL2)
 
 
+def _flat_rows(targets, d=2):
+    """The (fanout, (d+1)·n) flat push rows of one slot's (n, fanout)
+    targets: entry c·n + i of row k is c·n plus the k-th target of sender i."""
+    n, fanout = targets.shape
+    return (targets.T[:, None, :] + np.arange(0, (d + 1) * n, n)[:, None]).reshape(fanout, -1)
+
+
 def _slot_targets(cfg, rng):
-    """The (n, fanout) push targets of one slot."""
-    return next(_target_blocks(cfg.n_sensors, cfg.fanout, 1, rng))[0]
+    """The flat push rows of one slot's targets, at d = 2."""
+    return _flat_rows(next(_target_blocks(cfg.n_sensors, cfg.fanout, 1, 1, rng))[0])
 
 
 class TestInitRound:
@@ -125,7 +133,7 @@ class TestSlotStep:
         cfg = NetworkConfig(n_sensors=6, T=1, L=1, fanout=2, seed=0)
         targets = np.array([[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]])
         with np.errstate(divide="raise", invalid="raise"):
-            _, updated = slot_step(net, cfg, targets)
+            _, updated = slot_step(net, cfg, _flat_rows(targets))
         assert updated.tolist() == [True] * 3 + [False] * 3
         assert np.array_equal(net.estimate[3:], np.zeros((3, 2)))
         assert np.allclose(net.estimate[:3], h_map(pts, KERNEL2, np.zeros(2)), atol=1e-12)
@@ -227,8 +235,8 @@ class TestRunDecentrex:
         sent = []
         real_slot = decentralized.slot_step
 
-        def counting_slot(net, cfg, targets):
-            out = real_slot(net, cfg, targets)
+        def counting_slot(net, cfg, rows):
+            out = real_slot(net, cfg, rows)
             sent.append(out[0])
             return out
 
@@ -291,14 +299,23 @@ def _same_bits(a, b):
 
 
 class TestFlatSlotMatchesThreeArrays:
-    """The flat (n, d+1) slot must give, bit for bit, the state of the
-    push-sum oracle, which holds estimate, P and Q as three arrays, driven
-    through full runs on the same targets."""
+    """The slot on the lane-major (d+1)·n buffer must give, bit for bit, the
+    state of the push-sum oracle, which holds estimate, P and Q as three
+    arrays, driven through full runs on the (n, fanout) targets of each
+    drawn block."""
 
     def _lockstep_run(self, monkeypatch, data, config):
-        stats = {"slots": 0, "updates": 0, "kept": 0}
+        stats = {"slots": 0, "updates": 0, "kept": 0, "block_slots": []}
         oracle = {}
+        pending = collections.deque()
         real_init, real_slot = decentralized.init_round, decentralized.slot_step
+        real_blocks = decentralized._target_blocks
+
+        def recording_blocks(*args):
+            for block in real_blocks(*args):
+                stats["block_slots"].append(len(block))
+                pending.extend(block)
+                yield block
 
         def check(net):
             ref = oracle["net"]
@@ -313,9 +330,9 @@ class TestFlatSlotMatchesThreeArrays:
             check(net)
             return chosen
 
-        def lockstep_slot(net, cfg, targets):
-            sent, updated = real_slot(net, cfg, targets)
-            assert np.array_equal(updated, oracle["net"].slot_step(cfg.T, cfg.L, targets))
+        def lockstep_slot(net, cfg, rows):
+            sent, updated = real_slot(net, cfg, rows)
+            assert np.array_equal(updated, oracle["net"].slot_step(cfg.T, cfg.L, pending.popleft()))
             check(net)
             stats["slots"] += 1
             stats["updates"] += int(updated.sum())
@@ -325,8 +342,10 @@ class TestFlatSlotMatchesThreeArrays:
 
         monkeypatch.setattr(decentralized, "init_round", lockstep_init)
         monkeypatch.setattr(decentralized, "slot_step", lockstep_slot)
+        monkeypatch.setattr(decentralized, "_target_blocks", recording_blocks)
         results, messages = run_decentrex(data, config)
         rounds = len(results[0].iterations_per_centroid)
+        assert not pending
         assert stats["slots"] == config.T * rounds
         assert messages == stats["slots"] * config.n_sensors * config.fanout
         return stats
@@ -338,6 +357,18 @@ class TestFlatSlotMatchesThreeArrays:
         cfg = NetworkConfig(n_sensors=400, T=slots, L=30, fanout=fanout, seed=fanout)
         stats = self._lockstep_run(monkeypatch, data, cfg)
         assert stats["updates"] > 0
+
+    def test_dim2k4_block_boundary_inside_an_epoch(self, monkeypatch):
+        # 7-slot blocks at fanout 2 (7 · 2 · 3 · 400 indices): block
+        # boundaries fall inside 10-slot epochs, and T = 47 ends each round
+        # on a 5-slot block inside its fifth epoch.
+        config = ExperimentConfig(scenario="dim2k4", sigmas=(1.5,))
+        data = generate_dataset(config, np.random.SeedSequence([0, 0, 0]))
+        cfg = NetworkConfig(n_sensors=400, T=47, L=10, fanout=2, seed=2)
+        monkeypatch.setattr(decentralized, "BUDGET", 8 * 7 * 2 * 3 * 400)
+        stats = self._lockstep_run(monkeypatch, data, cfg)
+        assert stats["updates"] > 0
+        assert set(stats["block_slots"]) == {7, 5}
 
     def test_dim100k10_with_underflow(self, monkeypatch):
         config = ExperimentConfig(scenario="dim100k10", n=100, sigmas=(1.0,))
@@ -355,20 +386,19 @@ class TestTargetBlocks:
     @pytest.mark.parametrize("n", [9, 10])
     @pytest.mark.parametrize("fanout", [1, 3])
     @pytest.mark.parametrize("slots_per_block", [None, 2])
-    def test_blocks_replay_per_slot_draws(self, monkeypatch, slots_per_block, fanout, n, slots):
-        if slots_per_block is not None:
-            monkeypatch.setattr(decentralized, "BUDGET", 8 * n * fanout * slots_per_block)
-        self._check_replay(n, fanout, slots, seed=n + fanout + slots)
+    def test_blocks_replay_per_slot_draws(self, slots_per_block, fanout, n, slots):
+        # None draws the whole round as one block.
+        self._check_replay(n, fanout, slots, slots_per_block or slots, seed=n + fanout + slots)
 
     @pytest.mark.parametrize("n", [400, 401])
     def test_gossip_round_in_one_block(self, n):
-        (block,) = _target_blocks(n, 1, 300, np.random.default_rng(0))
+        (block,) = _target_blocks(n, 1, 300, 300, np.random.default_rng(0))
         assert block.shape == (300, n, 1)
-        self._check_replay(n, 1, 300, seed=n)
+        self._check_replay(n, 1, 300, 300, seed=n)
 
-    def _check_replay(self, n, fanout, slots, seed):
+    def _check_replay(self, n, fanout, slots, per_block, seed):
         blocked, single = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = np.concatenate(list(_target_blocks(n, fanout, slots, blocked)))
+        drawn = np.concatenate(list(_target_blocks(n, fanout, slots, per_block, blocked)))
         want = np.stack([pick_targets(n, fanout, single) for _ in range(slots)])
         assert np.array_equal(drawn, want)
         assert blocked.bit_generator.state == single.bit_generator.state
@@ -379,7 +409,7 @@ class TestTargetBlocks:
         # Each sender's targets are distinct, never itself, and every subset
         # of `fanout` of the other n - 1 sensors is equally likely.
         n, fanout, slots = 6, 3, 4000
-        drawn = np.concatenate(list(_target_blocks(n, fanout, slots, np.random.default_rng(0))))
+        drawn = np.concatenate(list(_target_blocks(n, fanout, slots, slots, np.random.default_rng(0))))
         sender = np.arange(n)[None, :, None]
         assert not np.any(drawn == sender)
         ordered = np.sort(drawn, axis=2)
@@ -392,18 +422,38 @@ class TestTargetBlocks:
         assert counts.size == len(subsets)
         assert chisquare(counts).pvalue > 0.01
 
-    def test_full_fanout_blocks_stay_within_budget(self):
-        # A whole round at n = 400, fanout 399, T = 300 would be 383 MB; a
-        # block holds one slot (1.3 MB), and the loop keeps at most two.
-        blocks = _target_blocks(400, 399, 300, np.random.default_rng(0))
-        tracemalloc.start()
-        try:
-            for block in itertools.islice(blocks, 3):
-                assert block.shape == (1, 400, 399)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * BUDGET
+    @staticmethod
+    def _flat_row_buffers(monkeypatch, data, cfg):
+        """The arrays of which slot_step got its flat push rows in one run,
+        and the bytes of one slot's rows."""
+        buffers, real_slot = {}, decentralized.slot_step
+
+        def recording_slot(net, cfg, rows):
+            buffers[id(rows.base)] = rows.base
+            return real_slot(net, cfg, rows)
+
+        monkeypatch.setattr(decentralized, "slot_step", recording_slot)
+        run_decentrex(data, cfg)
+        return list(buffers.values()), 8 * cfg.fanout * (data.d + 1) * data.n
+
+    def test_full_fanout_blocks_stay_within_budget(self, monkeypatch):
+        # One slot's flat rows at n = 400 and fanout 399 take 3.8 MB, more
+        # than BUDGET: the run's one buffer holds that slot and no more.
+        config = ExperimentConfig(scenario="dim2k4", sigmas=(1.5,))
+        data = generate_dataset(config, np.random.SeedSequence([0, 0, 0]))
+        cfg = NetworkConfig(n_sensors=400, T=2, L=1, fanout=399)
+        (buffer,), slot_bytes = self._flat_row_buffers(monkeypatch, data, cfg)
+        assert slot_bytes > BUDGET
+        assert buffer.nbytes == slot_bytes
+
+    def test_flat_rows_stay_within_budget_at_d100(self, monkeypatch):
+        # A whole 100-slot round at d = 100 and n = 100 would be 8 MB of
+        # indices; the run's one buffer takes as many slots as fit BUDGET.
+        config = ExperimentConfig(scenario="dim100k10", n=100, sigmas=(1.0,))
+        data = generate_dataset(config, np.random.SeedSequence([0, 0, 0]))
+        cfg = NetworkConfig(n_sensors=100, T=100, L=10)
+        (buffer,), slot_bytes = self._flat_row_buffers(monkeypatch, data, cfg)
+        assert BUDGET - slot_bytes < buffer.nbytes <= BUDGET
 
 
 def _straddling_rounds(rng, n, k, d, counts, r, wald_cfg):
