@@ -192,6 +192,18 @@ def pick_targets(n, fanout, rng):
     return np.array([[t + (t >= i) for t in row] for i, row in enumerate(picks)])
 
 
+def flat_push_rows(targets, d):
+    """The (fanout, (d+1)·n) flat push rows of one slot's (n, fanout)
+    targets, one row per fanout column, written lane by lane: entry c·n + i
+    of row k is c·n plus sender i's k-th target."""
+    n, fanout = targets.shape
+    rows = np.empty((fanout, d + 1, n), dtype=np.int64)
+    for k in range(fanout):
+        for c in range(d + 1):
+            rows[k, c] = c * n + targets[:, k]
+    return rows.reshape(fanout, -1)
+
+
 def scalar_fuse(centroids, support_counts, r, wald_cfg):
     """Fusion of one list of (d,) estimates, one pair at a time: pairs
     (k1 < k2) in lexicographic order, a merge replacing k1 by the midpoint,

@@ -17,7 +17,7 @@ from centrex.decentralized import NetworkConfig, SensorNetwork, _target_blocks, 
 from centrex.harness import ExperimentConfig, classification_error, run_experiment
 from centrex.statfn import KernelSpec, WaldConfig, marcum_q, r_squared, threshold_mu
 
-from oracles import brute_force_matching_error
+from oracles import brute_force_matching_error, flat_push_rows
 
 
 _CAPTURE = None
@@ -240,9 +240,7 @@ def test_criterion_7_property_spotchecks():
     net = SensorNetwork(pts, kernel)
     init_round(net, rng)
     theta0 = net.estimate[0].copy()
-    targets = next(_target_blocks(30, 29, 1, 1, rng))[0]
-    # Flat push rows: column c of target t is entry c·30 + t of the state.
-    rows = (targets.T[:, None, :] + np.arange(0, 90, 30)[:, None]).reshape(29, 90)
+    rows = flat_push_rows(next(_target_blocks(30, 29, 1, 1, rng))[0], 2)
     slot_step(net, NetworkConfig(n_sensors=30, T=1, L=30, fanout=29, seed=0), rows)
     checks.append(np.abs(net.estimate - h_map(pts, kernel, theta0)).max() <= 1e-12)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import PushSumNetwork, pick_targets, scalar_fuse
+from oracles import PushSumNetwork, flat_push_rows, pick_targets, scalar_fuse
 from scipy.stats import chisquare
 
 from centrex import decentralized
@@ -32,16 +32,9 @@ def _network(points):
     return SensorNetwork(np.asarray(points, dtype=float), KERNEL2)
 
 
-def _flat_rows(targets, d=2):
-    """The (fanout, (d+1)·n) flat push rows of one slot's (n, fanout)
-    targets: entry c·n + i of row k is c·n plus the k-th target of sender i."""
-    n, fanout = targets.shape
-    return (targets.T[:, None, :] + np.arange(0, (d + 1) * n, n)[:, None]).reshape(fanout, -1)
-
-
 def _slot_targets(cfg, rng):
     """The flat push rows of one slot's targets, at d = 2."""
-    return _flat_rows(next(_target_blocks(cfg.n_sensors, cfg.fanout, 1, 1, rng))[0])
+    return flat_push_rows(next(_target_blocks(cfg.n_sensors, cfg.fanout, 1, 1, rng))[0], 2)
 
 
 class TestInitRound:
@@ -133,7 +126,7 @@ class TestSlotStep:
         cfg = NetworkConfig(n_sensors=6, T=1, L=1, fanout=2, seed=0)
         targets = np.array([[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]])
         with np.errstate(divide="raise", invalid="raise"):
-            _, updated = slot_step(net, cfg, _flat_rows(targets))
+            _, updated = slot_step(net, cfg, flat_push_rows(targets, 2))
         assert updated.tolist() == [True] * 3 + [False] * 3
         assert np.array_equal(net.estimate[3:], np.zeros((3, 2)))
         assert np.allclose(net.estimate[:3], h_map(pts, KERNEL2, np.zeros(2)), atol=1e-12)
