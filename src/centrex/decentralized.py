@@ -57,8 +57,7 @@ class SensorNetwork:
     state [P | Q] and a marked flag; `slot` counts the slots of the current
     round.  The states are one lane-major (d+1)·n buffer `flat`, entry c·n + i
     holding column c of sensor i; `state` is its (n, d+1) view and P and Q are
-    views of that.  `no_update` is the read-only all-False mask of a slot that
-    ends no epoch.
+    views of that.
     """
 
     def __init__(self, points: np.ndarray, kernel: KernelSpec):
@@ -70,7 +69,6 @@ class SensorNetwork:
         self.state = self.flat.reshape(self.d + 1, self.n).T
         self.P, self.Q = self.state[:, : self.d], self.state[:, self.d]
         self.marked = np.zeros(self.n, dtype=bool)
-        self.no_update = np.broadcast_to(False, self.n)
         self.slot = 0
 
     def restart(self):
@@ -132,8 +130,7 @@ def slot_step(net: SensorNetwork, config: NetworkConfig, rows: np.ndarray):
     (one whose weights all underflowed keeps its estimate) and all restart
     from their own contribution.
 
-    Returns (messages_sent, updated_mask), the mask marking who set estimate;
-    a slot that ends no epoch returns net.no_update.
+    Returns (messages_sent, updated_mask), the mask marking who set estimate.
     """
     net.flat /= len(rows) + 1
     share = net.flat.copy()
@@ -141,7 +138,7 @@ def slot_step(net: SensorNetwork, config: NetworkConfig, rows: np.ndarray):
         np.add.at(net.flat, row, share)
     net.slot += 1
     if net.slot % config.L and net.slot != config.T:
-        return net.n * len(rows), net.no_update
+        return net.n * len(rows), np.zeros(net.n, dtype=bool)
     updated = net.Q > 0
     net.estimate[updated] = net.P[updated] / net.Q[updated, None]
     net.restart()
@@ -168,16 +165,19 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     rng = np.random.default_rng(config.seed)
     wald_cfg = WaldConfig(d=d, gamma=gamma)
     net = SensorNetwork(pts, kernel)
-    # Flat push rows of as many slots as fit BUDGET bytes, at least one.
+    # Flat push rows of as many slots as fit BUDGET bytes, at least one, and
+    # the lane offset c·n of each flat entry.
     per_block = min(config.T, max(1, BUDGET // (8 * config.fanout * net.flat.size)))
-    flat_rows = np.empty((per_block, config.fanout, d + 1, n), dtype=np.int64)
-    lanes = np.arange(0, net.flat.size, n)[:, None]
+    flat_rows = np.empty((per_block, config.fanout, net.flat.size), dtype=np.int64)
+    lanes = np.repeat(np.arange(0, net.flat.size, n), n)
 
     def estimate():
         chosen = init_round(net, rng)
         for block in _target_blocks(n, config.fanout, config.T, per_block, rng):
-            rows = np.add(block.transpose(0, 2, 1)[:, :, None], lanes, out=flat_rows[: len(block)])
-            for slot_rows in rows.reshape(len(block), config.fanout, -1):
+            rows = flat_rows[: len(block)]
+            rows.reshape(len(block), config.fanout, d + 1, n)[:] = block.transpose(0, 2, 1)[:, :, None]
+            rows += lanes
+            for slot_rows in rows:
                 _, updated = slot_step(net, config, slot_rows)
         return chosen, net.estimate.copy(), math.ceil(config.T / config.L), bool(updated.all())
 

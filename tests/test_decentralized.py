@@ -415,10 +415,23 @@ class TestTargetBlocks:
         assert counts.size == len(subsets)
         assert chisquare(counts).pvalue > 0.01
 
+    def test_full_fanout_blocks_stay_within_budget(self):
+        # A whole round at n = 400, fanout 399, T = 300 would be 383 MB; a
+        # one-slot block takes 1.3 MB, and the loop keeps at most two.
+        blocks = _target_blocks(400, 399, 300, 1, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            for block in itertools.islice(blocks, 3):
+                assert block.shape == (1, 400, 399)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * BUDGET
+
     @staticmethod
     def _flat_row_buffers(monkeypatch, data, cfg):
         """The arrays of which slot_step got its flat push rows in one run,
-        and the bytes of one slot's rows."""
+        the bytes of one slot's rows and the run's peak traced memory."""
         buffers, real_slot = {}, decentralized.slot_step
 
         def recording_slot(net, cfg, rows):
@@ -426,27 +439,36 @@ class TestTargetBlocks:
             return real_slot(net, cfg, rows)
 
         monkeypatch.setattr(decentralized, "slot_step", recording_slot)
-        run_decentrex(data, cfg)
-        return list(buffers.values()), 8 * cfg.fanout * (data.d + 1) * data.n
+        tracemalloc.start()
+        try:
+            run_decentrex(data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return list(buffers.values()), 8 * cfg.fanout * (data.d + 1) * data.n, peak
 
-    def test_full_fanout_blocks_stay_within_budget(self, monkeypatch):
+    def test_full_fanout_flat_rows_hold_one_slot(self, monkeypatch):
         # One slot's flat rows at n = 400 and fanout 399 take 3.8 MB, more
-        # than BUDGET: the run's one buffer holds that slot and no more.
+        # than BUDGET: the run's one buffer holds that slot and no more, and
+        # the run's peak stays within four budgets past that slot.
         config = ExperimentConfig(scenario="dim2k4", sigmas=(1.5,))
         data = generate_dataset(config, np.random.SeedSequence([0, 0, 0]))
         cfg = NetworkConfig(n_sensors=400, T=2, L=1, fanout=399)
-        (buffer,), slot_bytes = self._flat_row_buffers(monkeypatch, data, cfg)
+        (buffer,), slot_bytes, peak = self._flat_row_buffers(monkeypatch, data, cfg)
         assert slot_bytes > BUDGET
         assert buffer.nbytes == slot_bytes
+        assert peak < slot_bytes + 4 * BUDGET
 
     def test_flat_rows_stay_within_budget_at_d100(self, monkeypatch):
         # A whole 100-slot round at d = 100 and n = 100 would be 8 MB of
-        # indices; the run's one buffer takes as many slots as fit BUDGET.
+        # indices; the run's one buffer takes as many slots as fit BUDGET,
+        # and the run's peak stays within four budgets past one slot.
         config = ExperimentConfig(scenario="dim100k10", n=100, sigmas=(1.0,))
         data = generate_dataset(config, np.random.SeedSequence([0, 0, 0]))
         cfg = NetworkConfig(n_sensors=100, T=100, L=10)
-        (buffer,), slot_bytes = self._flat_row_buffers(monkeypatch, data, cfg)
+        (buffer,), slot_bytes, peak = self._flat_row_buffers(monkeypatch, data, cfg)
         assert BUDGET - slot_bytes < buffer.nbytes <= BUDGET
+        assert peak < slot_bytes + 4 * BUDGET
 
 
 def _straddling_rounds(rng, n, k, d, counts, r, wald_cfg):
