@@ -57,7 +57,8 @@ class SensorNetwork:
     state [P | Q] and a marked flag; `slot` counts the slots of the current
     round.  The states are one lane-major (d+1)·n buffer `flat`, entry c·n + i
     holding column c of sensor i; `state` is its (n, d+1) view and P and Q are
-    views of that.
+    views of that.  `no_update` is the read-only all-False mask of a slot that
+    ends no epoch.
     """
 
     def __init__(self, points: np.ndarray, kernel: KernelSpec):
@@ -69,6 +70,7 @@ class SensorNetwork:
         self.state = self.flat.reshape(self.d + 1, self.n).T
         self.P, self.Q = self.state[:, : self.d], self.state[:, self.d]
         self.marked = np.zeros(self.n, dtype=bool)
+        self.no_update = np.broadcast_to(False, self.n)
         self.slot = 0
 
     def restart(self):
@@ -130,7 +132,8 @@ def slot_step(net: SensorNetwork, config: NetworkConfig, rows: np.ndarray):
     (one whose weights all underflowed keeps its estimate) and all restart
     from their own contribution.
 
-    Returns (messages_sent, updated_mask), the mask marking who set estimate.
+    Returns (messages_sent, updated_mask), the mask marking who set estimate;
+    a slot that ends no epoch returns net.no_update.
     """
     net.flat /= len(rows) + 1
     share = net.flat.copy()
@@ -138,7 +141,7 @@ def slot_step(net: SensorNetwork, config: NetworkConfig, rows: np.ndarray):
         np.add.at(net.flat, row, share)
     net.slot += 1
     if net.slot % config.L and net.slot != config.T:
-        return net.n * len(rows), np.zeros(net.n, dtype=bool)
+        return net.n * len(rows), net.no_update
     updated = net.Q > 0
     net.estimate[updated] = net.P[updated] / net.Q[updated, None]
     net.restart()
@@ -165,8 +168,7 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     rng = np.random.default_rng(config.seed)
     wald_cfg = WaldConfig(d=d, gamma=gamma)
     net = SensorNetwork(pts, kernel)
-    # Flat push rows of as many slots as fit BUDGET bytes, at least one, and
-    # the lane offset c·n of each flat entry.
+    # Flat push rows of as many slots as fit BUDGET (at least one); lane offsets.
     per_block = min(config.T, max(1, BUDGET // (8 * config.fanout * net.flat.size)))
     flat_rows = np.empty((per_block, config.fanout, net.flat.size), dtype=np.int64)
     lanes = np.repeat(np.arange(0, net.flat.size, n), n)
