@@ -31,8 +31,9 @@ __all__ = [
 ]
 
 # Bytes allowed for one block of temporaries: classify's blocks of centroid
-# sets and of fallback distances, and push targets (decentralized: a whole
-# round of the dim2k4 gossip run, T = 300, n = 400, fanout 1, is 960 000).
+# sets and of fallback distances, and decentralized's flat push indices,
+# fanout (d + 1) n int64 per slot (dim2k4, n = 400, fanout 1: 9 600 bytes, so
+# 109 slots per block; 12 slots at d = 100, n = 100).
 BUDGET = 1 << 20
 
 
@@ -387,13 +388,13 @@ def run_centrex(
 
 
 def sigma_lim(true_centroids, gamma: float, d: int) -> float:
-    """Noise level above which the closest pair of clusters stops separating."""
+    """Noise level above which the closest pair of clusters stops separating.
+
+    The pair distances are fuse's, np.linalg.norm's dot product row by row.
+    """
     cents = np.asarray(true_centroids, dtype=float)
     if cents.ndim != 2 or cents.shape[0] < 2:
         raise ValueError("need at least two centroids")
-    mu = threshold_mu(d, gamma)
-    dmin = np.inf
-    for i in range(len(cents)):
-        for j in range(i + 1, len(cents)):
-            dmin = min(dmin, float(np.linalg.norm(cents[i] - cents[j])))
-    return dmin / mu
+    i, j = np.triu_indices(len(cents), 1)
+    diff = cents[i] - cents[j]
+    return float(np.sqrt(np.vecdot(diff, diff)).min()) / threshold_mu(d, gamma)

@@ -1,18 +1,17 @@
 """Special functions, kernels, and statistical constants.
 
 Everything here is a pure function of its arguments; Monte-Carlo variants
-take an explicit seed.  The two constants that cost a root solve or a
-quadrature, threshold_mu and r_squared, are therefore memoized by value: each
-is computed on its first call with given arguments and reused for the rest of
-the process.
+take an explicit seed.  r_squared costs a quadrature, so it is memoized by
+value: computed on its first call with given arguments and reused for the
+rest of the process.
 
 One norm test marks points (WaldConfig), weights them (its p-value, weight)
-and, scaled by fusion_sigma, merges centroids.
+and, scaled by fusion_sigma, merges centroids.  Its threshold mu is the
+square root of chi2_d's upper-gamma quantile.
 
 The chi-square functions come from scipy.special (gammaincc, chdtri, and
 the density expression of scipy.stats.chi2.pdf), so importing this module
-does not load scipy.stats; scipy.integrate and scipy.optimize serve the
-r_squared quadrature and the threshold_mu root.
+does not load scipy.stats; scipy.integrate serves the r_squared quadrature.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.optimize import brentq
 from scipy.special import chdtri, gammaincc, gammaln, xlogy
 
 __all__ = [
@@ -69,25 +67,14 @@ def marcum_q(a: float, x: float) -> float:
     return float(gammaincc(a, 0.5 * x * x))
 
 
-@functools.lru_cache(maxsize=None)
 def threshold_mu(d: int, gamma: float) -> float:
-    """Normalized test threshold: the unique mu with marcum_q(d/2, mu) = gamma,
-    found by bracketed root finding."""
+    """Normalized test threshold: the mu with marcum_q(d/2, mu) = gamma, the
+    square root of chi2_d's upper-gamma quantile."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    a = 0.5 * d
-
-    def f(x):
-        return marcum_q(a, x) - gamma
-
-    hi = 1.0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e8:
-            raise RuntimeError("failed to bracket threshold")
-    return float(brentq(f, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
+    return math.sqrt(chdtri(d, gamma))
 
 
 @dataclass(frozen=True)
@@ -95,7 +82,7 @@ class WaldConfig:
     """Test of zero mean for a N(xi, I_d) observation at level gamma.
 
     The zero-mean hypothesis is accepted iff the norm is at most threshold,
-    the mu with marcum_q(d/2, mu) = gamma; it is solved once, at construction.
+    the mu with marcum_q(d/2, mu) = gamma; it is computed once, at construction.
     """
 
     d: int

@@ -59,6 +59,16 @@ def chi2_survival(d: int, t: float) -> float:
     return upper_gamma_regularized(0.5 * d, 0.5 * t)
 
 
+def pairwise_min_distance(centroids):
+    """Smallest np.linalg.norm over the pairs (i < j) of rows, one pair at a
+    time."""
+    dmin = np.inf
+    for i in range(len(centroids)):
+        for j in range(i + 1, len(centroids)):
+            dmin = min(dmin, float(np.linalg.norm(centroids[i] - centroids[j])))
+    return dmin
+
+
 def direct_h_map(points, weight_fn, x):
     """Literal loop evaluation of the weighted-average map."""
     num = np.zeros(len(x))

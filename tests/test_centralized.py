@@ -18,7 +18,7 @@ from centrex.centralized import (
 from centrex.harness import ExperimentConfig, generate_dataset
 from centrex.statfn import KernelSpec, WaldConfig, r_squared, threshold_mu, weight
 
-from oracles import direct_h_map
+from oracles import direct_h_map, pairwise_min_distance
 
 KERNEL2 = KernelSpec("wald", 2)
 
@@ -483,3 +483,11 @@ class TestSigmaLim:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             sigma_lim(np.array([[1.0, 1.0]]), 1e-3, 2)
+
+    @pytest.mark.parametrize(
+        "scenario, d, seed",
+        [("dim2k4", 2, 0)] + [("dim100k10", 100, seed) for seed in (0, 1, 7, 91, 2024)],
+    )
+    def test_closest_pair_matches_pairwise_loop(self, scenario, d, seed):
+        cents = ExperimentConfig(scenario=scenario, n=100, seed=seed).centroids
+        assert sigma_lim(cents, 1e-3, d) == pairwise_min_distance(cents) / threshold_mu(d, 1e-3)

@@ -48,14 +48,21 @@ class TestMarcumQ:
 
 class TestThresholdMu:
     def test_d2_closed_forms(self):
-        assert threshold_mu(2, 1e-3) == pytest.approx(math.sqrt(2 * math.log(1e3)), abs=1e-4)
-        assert threshold_mu(2, 0.5) == pytest.approx(math.sqrt(2 * math.log(2)), abs=1e-4)
+        # chi2_2 survival at mu^2 is exp(-mu^2/2), so mu = sqrt(-2 ln gamma)
+        for gamma in (1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9):
+            assert threshold_mu(2, gamma) == pytest.approx(math.sqrt(-2 * math.log(gamma)), rel=1e-15)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 100])
     @pytest.mark.parametrize("gamma", [1e-4, 1e-3, 0.1, 0.9])
     def test_round_trip(self, d, gamma):
         mu = threshold_mu(d, gamma)
         assert marcum_q(d / 2, mu) == pytest.approx(gamma, abs=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 50, 100, 200])
+    @pytest.mark.parametrize("gamma", [1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9])
+    def test_survival_at_threshold_is_gamma(self, d, gamma):
+        mu = threshold_mu(d, gamma)
+        assert abs(chi2_survival(d, mu * mu) - gamma) <= 1e-12 * gamma
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -227,21 +234,16 @@ class TestMemoizedConstants:
         assert r_squared(KernelSpec("gaussian", 3, beta=0.5)) is first
         assert r_squared.__wrapped__(kernel) == first
 
-    def test_threshold_mu_returns_one_float_per_arguments(self):
-        first = threshold_mu(7, 1e-4)
-        assert threshold_mu(7, 1e-4) is first
-        assert threshold_mu.__wrapped__(7, 1e-4) == first
-
     def test_nothing_is_computed_at_import(self):
         code = (
             "import centrex, centrex.cli\n"
-            "from centrex.statfn import r_squared, threshold_mu\n"
-            "print(r_squared.cache_info().currsize, threshold_mu.cache_info().currsize)"
+            "from centrex.statfn import r_squared\n"
+            "print(r_squared.cache_info().currsize)"
         )
         src = str(Path(centrex.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["0", "0"]
+        assert out.stdout.split() == ["0"]
 
     def test_running_a_pipeline_does_not_import_scipy_stats(self):
         code = (
