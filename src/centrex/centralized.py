@@ -166,14 +166,17 @@ def mark(points, centroid, marking_cfg: WaldConfig) -> np.ndarray:
     return np.flatnonzero(dist <= marking_cfg.threshold)
 
 
-def recover(points, marked, wald_cfg: WaldConfig, estimate):
-    """Set `marked` in place until it is all True: each pass calls estimate()
-    for (start, theta, iterations, converged), theta being one (d,) centroid
-    or one (n, d) row per sensor, and marks the start and what mark attributes
-    to theta.  Returns the lists (thetas, supports, iterations, flags)."""
+def recover(points, wald_cfg: WaldConfig, rng: np.random.Generator, estimate):
+    """Recover centroids until every point is marked: each pass draws its
+    start uniformly among the unmarked points, calls estimate(start) for
+    (theta, iterations, converged), theta being one (d,) centroid or one (n, d)
+    row per sensor, and marks the start and what mark attributes to theta.
+    Returns the lists (thetas, supports, iterations, flags)."""
+    marked = np.zeros(len(points), dtype=bool)
     passes = []
     while not marked.all():
-        start, theta, iters, converged = estimate()
+        start = int(rng.choice(np.flatnonzero(~marked)))
+        theta, iters, converged = estimate(start)
         mk = mark(points, theta, wald_cfg)
         marked[mk] = marked[start] = True
         passes.append((theta, len(mk) + int(start not in mk), iters, converged))
@@ -224,18 +227,12 @@ def fuse(centroids, support_counts, r: float, wald_cfg: WaldConfig):
     return groups
 
 
-# classify takes the certified Gram argmin from GRAM_MIN_D coordinates on, and
-# there only where the every-pair sq_dist argmin would cover GRAM_MIN_FLOATS
-# or more differences, N R K d for N points and R (K, d) sets; both give the
-# same result.  Measured per call on one 2-vCPU host: for ten (4, d) sets at
-# N = 400 the Gram argmin took 1.3 to 3.6 times as long at d = 2 to 7 and
-# 0.81 times at d = 8 (taken at d = 2 it slowed planar's and gossip's median
-# cells by 60% and 23%).  Over N = 1 to 400, R = 1, 10, 100, K = 2, 4, 10 and
-# d = 8, 16, 100 it drew level between about 6 400 and 40 000 differences,
-# most often near 16 000 (at K = 2 and d = 8, 16 it stayed up to twice as
-# slow throughout); for one point and one set it took 2.7 to 5.6 times as long.
+# classify takes the certified Gram argmin from GRAM_MIN_D coordinates on and
+# the every-pair sq_dist argmin below; both give the same result.  Measured
+# per call on one 2-vCPU host: for ten (4, d) sets at N = 400 the Gram argmin
+# took 1.3 to 3.6 times as long at d = 2 to 7 and 0.81 times at d = 8 (taken
+# at d = 2 it slowed planar's and gossip's median cells by 60% and 23%).
 GRAM_MIN_D = 8
-GRAM_MIN_FLOATS = 1 << 14
 
 
 def classify(points, centroids) -> np.ndarray:
@@ -249,9 +246,8 @@ def classify(points, centroids) -> np.ndarray:
     least one: N K d floats per set on the sq_dist path (sq_dist holds at most
     three (block, N, K) arrays), N K on the Gram path (one G block).
 
-    The result is always np.argmin of the sq_dist values.  Below GRAM_MIN_D,
-    or below GRAM_MIN_FLOATS point-centroid differences in all, they are
-    computed for every pair.  Otherwise a point takes the argmin b of
+    The result is always np.argmin of the sq_dist values.  Below GRAM_MIN_D
+    they are computed for every pair.  Otherwise a point takes the argmin b of
     G = ||x||^2 + ||c||^2 - 2 x.c, one matmul over all the block's centroids,
     where a rounding-error bound certifies it, and the sq_dist argmin, computed
     for that point and set alone, where it does not.
@@ -283,7 +279,7 @@ def classify(points, centroids) -> np.ndarray:
     d, k = points.shape[-1], centroids.shape[-2]
     lead, n = centroids.shape[:-2], points.shape[0]
     sets = centroids.reshape(-1, k, d)
-    gram = d >= GRAM_MIN_D and n * sets.size >= GRAM_MIN_FLOATS
+    gram = d >= GRAM_MIN_D
     blocks = range(0, len(sets), max(1, BUDGET // (8 * n * k * (1 if gram else d))))
     if not gram:
         best = [np.argmin(sq_dist(points[:, None, :], sets[lo : lo + blocks.step, None]), axis=-1)
@@ -359,20 +355,18 @@ def run_centrex(
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     pts = data.normalized_points()
-    n, d = pts.shape
+    d = pts.shape[1]
     if kernel is None:
         kernel = KernelSpec("wald", d)
     if kernel.d != d:
         raise ValueError(f"kernel dimension {kernel.d} does not match the data's {d}")
     rng = np.random.default_rng(seed)
     wald_cfg = WaldConfig(d=d, gamma=gamma)
-    marked = np.zeros(n, dtype=bool)
 
-    def estimate():
-        start = int(rng.choice(np.flatnonzero(~marked)))
-        return (start, *fixed_point(pts, kernel, pts[start], epsilon, max_iter))
+    def estimate(start):
+        return fixed_point(pts, kernel, pts[start], epsilon, max_iter)
 
-    centroids, counts, iters_per, converged_per = recover(pts, marked, wald_cfg, estimate)
+    centroids, counts, iters_per, converged_per = recover(pts, wald_cfg, rng, estimate)
 
     r = math.sqrt(r_squared(kernel))
     [(_, fused_cents, fused_counts)] = fuse(centroids, counts, r, wald_cfg)

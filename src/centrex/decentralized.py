@@ -4,6 +4,7 @@ Each sensor holds one observation and a push-sum state [P | Q] shared over
 perfect links.  A round of T slots estimates one centroid network-wide in
 epochs of L slots, each a fixed-point step of h_map, and each sensor marks its
 own observation.  Rounds run in CENTREx's loop, centralized.recover, which
+draws each round's start among the unmarked sensors, owns the marks and
 records each round's epochs and whether every sensor took P/Q at its end.
 A round's push targets are drawn in blocks and written once per block as flat
 indices into the sensors' lane-major state, so a slot is one np.add.at per
@@ -53,12 +54,11 @@ class NetworkConfig:
 
 
 class SensorNetwork:
-    """Vectorized state of all sensors: observation y, estimate, push-sum
-    state [P | Q] and a marked flag; `slot` counts the slots of the current
-    round.  The states are one lane-major (d+1)·n buffer `flat`, entry c·n + i
-    holding column c of sensor i; `state` is its (n, d+1) view and P and Q are
-    views of that.  `no_update` is the read-only all-False mask of a slot that
-    ends no epoch.
+    """Vectorized state of all sensors: observation y, estimate and push-sum
+    state [P | Q]; `slot` counts the slots of the current round.  The states
+    are one lane-major (d+1)·n buffer `flat`, entry c·n + i holding column c
+    of sensor i; `state` is its (n, d+1) view and P and Q are views of that.
+    `no_update` is the read-only all-False mask of a slot that ends no epoch.
     """
 
     def __init__(self, points: np.ndarray, kernel: KernelSpec):
@@ -69,7 +69,6 @@ class SensorNetwork:
         self.flat = np.zeros((self.d + 1) * self.n)
         self.state = self.flat.reshape(self.d + 1, self.n).T
         self.P, self.Q = self.state[:, : self.d], self.state[:, self.d]
-        self.marked = np.zeros(self.n, dtype=bool)
         self.no_update = np.broadcast_to(False, self.n)
         self.slot = 0
 
@@ -79,20 +78,15 @@ class SensorNetwork:
         self.P[:] = self.Q[:, None] * self.y
 
 
-def init_round(net: SensorNetwork, rng: np.random.Generator) -> int:
-    """Broadcast the observation of a uniformly chosen unmarked sensor.
+def init_round(net: SensorNetwork, chosen: int):
+    """Broadcast the observation of sensor `chosen` to start a round.
 
     Every sensor sets its estimate to the broadcast vector and restarts its
-    state from its own contribution there.  Returns the chosen index.
+    state from its own contribution there; the slot count restarts at 0.
     """
-    unmarked = np.flatnonzero(~net.marked)
-    if unmarked.size == 0:
-        raise RuntimeError("cannot start a round: all sensors are marked")
-    chosen = int(rng.choice(unmarked))
     net.estimate[:] = net.y[chosen]
     net.restart()
     net.slot = 0
-    return chosen
 
 
 def _target_blocks(n: int, fanout: int, slots: int, per_block: int, rng: np.random.Generator):
@@ -173,17 +167,17 @@ def run_decentrex(data: Dataset, config: NetworkConfig, gamma: float = 1e-3):
     flat_rows = np.empty((per_block, config.fanout, net.flat.size), dtype=np.int64)
     lanes = np.repeat(np.arange(0, net.flat.size, n), n)
 
-    def estimate():
-        chosen = init_round(net, rng)
+    def estimate(chosen):
+        init_round(net, chosen)
         for block in _target_blocks(n, config.fanout, config.T, per_block, rng):
             rows = flat_rows[: len(block)]
             rows.reshape(len(block), config.fanout, d + 1, n)[:] = block.transpose(0, 2, 1)[:, :, None]
             rows += lanes
             for slot_rows in rows:
                 _, updated = slot_step(net, config, slot_rows)
-        return chosen, net.estimate.copy(), math.ceil(config.T / config.L), bool(updated.all())
+        return net.estimate.copy(), math.ceil(config.T / config.L), bool(updated.all())
 
-    rounds, _, iters, converged = recover(pts, net.marked, wald_cfg, estimate)
+    rounds, _, iters, converged = recover(pts, wald_cfg, rng, estimate)
 
     # Local fusion: sensors cannot observe per-cluster supports, so each one
     # uses the network-wide surrogate N / (number of rounds).

@@ -35,6 +35,8 @@ CSV_FIELDS = ["algorithm", "sigma", "trial", "k_hat", "pe", "distortion", "messa
 
 # Four-corner layout used by the d=2, K=4 scenario, in units of the scale A.
 _DIM2_LAYOUT = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
+# (k, d) of each named scenario; a custom one takes them from its centroids.
+_SCENARIO_SHAPES = {"dim2k4": (4, 2), "dim100k10": (10, 100)}
 
 _INT_FIELDS = ("d", "k", "n", "trials", "slots_t", "update_l", "fanout", "seed")
 _REAL_FIELDS = ("scale_a", "gamma", "epsilon", "beta")
@@ -51,8 +53,8 @@ def _is_real(v):
 @dataclass
 class ExperimentConfig:
     scenario: str = "custom"  # "dim2k4", "dim100k10", or "custom"
-    d: int = 2
-    k: int = 4
+    d: int | None = None  # None: from the scenario or the centroids
+    k: int | None = None
     n: int = 400
     scale_a: float = 10.0
     centroids: np.ndarray | None = None
@@ -79,25 +81,28 @@ class ExperimentConfig:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma!r}")
         if not 0 < self.beta < np.inf:
             raise ValueError(f"beta must be finite and positive, got {self.beta!r}")
-        if self.scenario == "dim2k4":
-            self.d, self.k = 2, 4
-            self.centroids = self.scale_a * _DIM2_LAYOUT
-        elif self.scenario == "dim100k10":
-            self.d, self.k = 100, 10
-            if self.centroids is None:
-                # Centroid layout drawn once for the whole experiment.
-                rng = np.random.default_rng(np.random.SeedSequence([self.seed, 999]))
-                self.centroids = self.scale_a * rng.standard_normal((self.k, self.d))
-        elif self.scenario != "custom":
+        if self.scenario not in ("custom", *_SCENARIO_SHAPES):
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        if self.centroids is None and self.scenario == "dim2k4":
+            self.centroids = self.scale_a * _DIM2_LAYOUT
+        elif self.centroids is None and self.scenario == "dim100k10":
+            # Centroid layout drawn once for the whole experiment.
+            rng = np.random.default_rng(np.random.SeedSequence([self.seed, 999]))
+            self.centroids = self.scale_a * rng.standard_normal(_SCENARIO_SHAPES["dim100k10"])
+        elif self.centroids is None:
+            raise ValueError("custom scenario requires explicit centroids")
+        self.centroids = np.asarray(self.centroids, dtype=float)
+        for name, want in zip(("k", "d"), _SCENARIO_SHAPES.get(self.scenario, self.centroids.shape)):
+            given = getattr(self, name)
+            if given is None:
+                setattr(self, name, want)
+            elif given != want:
+                raise ValueError(f"{name}={given!r} contradicts the {self.scenario} scenario's {name}={want}")
+        if self.centroids.shape != (self.k, self.d):
+            raise ValueError("centroids must have shape (k, d)")
         for name in ("d", "k", "n", "trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.centroids is None:
-            raise ValueError("custom scenario requires explicit centroids")
-        self.centroids = np.asarray(self.centroids, dtype=float)
-        if self.centroids.shape != (self.k, self.d):
-            raise ValueError("centroids must have shape (k, d)")
         if self.n % self.k != 0:
             raise ValueError("n must be divisible by k for balanced scenarios")
         if "decentrex" in self.algorithms:
@@ -106,16 +111,17 @@ class ExperimentConfig:
     def _check_types(self):
         """Reject a field of the wrong type with a ValueError naming it."""
         for name in _INT_FIELDS:
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (_is_int(value) or value is None and name in ("d", "k")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in _REAL_FIELDS:
             if not _is_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not isinstance(self.sigmas, (tuple, list)) or not all(map(_is_real, self.sigmas)):
-            raise ValueError(f"sigmas must be a list of numbers, got {self.sigmas!r}")
-        algorithms = self.algorithms
-        if not isinstance(algorithms, (tuple, list)) or not all(isinstance(a, str) for a in algorithms):
-            raise ValueError(f"algorithms must be a list of names, got {algorithms!r}")
+        sigmas, names = self.sigmas, self.algorithms
+        if not isinstance(sigmas, (tuple, list)) or not sigmas or not all(map(_is_real, sigmas)):
+            raise ValueError(f"sigmas must be a nonempty list of numbers, got {sigmas!r}")
+        if not isinstance(names, (tuple, list)) or not names or not all(isinstance(a, str) for a in names):
+            raise ValueError(f"algorithms must be a nonempty list of names, got {names!r}")
         if not isinstance(self.scenario, str):
             raise ValueError(f"scenario must be a name, got {self.scenario!r}")
         if not isinstance(self.record_runtime, bool):

@@ -238,7 +238,7 @@ def test_criterion_7_property_spotchecks():
     pts = rng.normal(size=(30, 2))
     kernel = KernelSpec("wald", 2)
     net = SensorNetwork(pts, kernel)
-    init_round(net, rng)
+    init_round(net, int(rng.choice(30)))
     theta0 = net.estimate[0].copy()
     rows = flat_push_rows(next(_target_blocks(30, 29, 1, 1, rng))[0], 2)
     slot_step(net, NetworkConfig(n_sensors=30, T=1, L=30, fanout=29, seed=0), rows)

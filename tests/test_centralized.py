@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from centrex import centralized
 from centrex.centralized import (
@@ -11,6 +12,7 @@ from centrex.centralized import (
     fuse,
     h_map,
     mark,
+    recover,
     run_centrex,
     sigma_lim,
     sq_dist,
@@ -118,6 +120,36 @@ class TestMark:
         assert abs(frac - 0.999) <= 4 * se
 
 
+class TestRecover:
+    def test_starts_uniform_over_unmarked(self):
+        # Points 0-2 and 3-9 are two clusters of identical points, and the
+        # stub's theta is its start, so a pass marks its start's whole
+        # cluster.  The first start is uniform over all ten points and the
+        # second over the other cluster, never a marked point; then every
+        # point is marked and recover stops.
+        pts = np.repeat([[0.0, 0.0], [100.0, 0.0]], [3, 7], axis=0)
+        wald_cfg, rng = WaldConfig(d=2, gamma=1e-3), np.random.default_rng(7)
+        first, second = np.zeros(10), np.zeros((2, 10))
+        for _ in range(5000):
+            starts = []
+
+            def estimate(start):
+                starts.append(start)
+                return pts[start], 1, True
+
+            thetas, supports, iters, flags = recover(pts, wald_cfg, rng, estimate)
+            a, b = starts
+            assert (a < 3) != (b < 3)
+            assert supports == ([3, 7] if a < 3 else [7, 3]) and iters == [1, 1] and flags == [True, True]
+            assert np.array_equal(thetas[1], pts[b])
+            first[a] += 1
+            second[int(a < 3), b] += 1
+        # chi-square uniformity at the 1% level
+        assert chisquare(first).pvalue > 0.01
+        assert chisquare(second[0, :3]).pvalue > 0.01
+        assert chisquare(second[1, 3:]).pvalue > 0.01
+
+
 class TestFuse:
     R = math.sqrt(9 / 8)
     CFG = WaldConfig(d=2, gamma=1e-3)
@@ -199,7 +231,7 @@ class TestClassify:
             # classify budgets N K d floats per set on the sq_dist path, N K on
             # the Gram path: take all 6 sets in one block, then 1, 2 and 5 (a
             # partial last block) at a time.
-            gram = d >= centralized.GRAM_MIN_D and 50 * cents.size >= centralized.GRAM_MIN_FLOATS
+            gram = d >= centralized.GRAM_MIN_D
             per_set = 8 * 50 * 4 * (1 if gram else d)
             for sets_per_block in (6, 1, 2, 5):
                 monkeypatch.setattr(centralized, "BUDGET", per_set * sets_per_block)
@@ -208,30 +240,6 @@ class TestClassify:
                 for r in range(6):
                     assert np.array_equal(got[r], classify(pts, cents[r]))
                 assert not np.any(got[1] == 3) and np.all(got[2] == 0)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("d", [8, 100])
-    def test_few_points_take_the_sq_dist_argmin(self, d, n, monkeypatch):
-        # One sensor's label (N = 1) is far below GRAM_MIN_FLOATS differences.
-        calls = []
-
-        def spied(a, b):
-            calls.append(np.shape(a))
-            return sq_dist(a, b)
-
-        monkeypatch.setattr(centralized, "sq_dist", spied)
-        rng = np.random.default_rng(d + n)
-        cents = rng.normal(size=(10, d))
-        cents[7] = cents[2]  # duplicate centroid: ties go to index 2
-        pts = np.concatenate([cents[[2]], rng.normal(size=(n - 1, d))])
-        got = classify(pts, cents)
-        assert np.array_equal(got, _argmin_of_sums(pts, cents))
-        assert got[0] == 2
-        assert calls == [(n, 1, d)]
-        calls.clear()
-        stacked = rng.normal(size=(3, 10, d))
-        assert np.array_equal(classify(pts, stacked), _argmin_of_sums(pts, stacked))
-        assert calls == [(n, 1, d)]
 
     def test_many_points_take_the_gram_argmin(self, fallbacks):
         rng = np.random.default_rng(5)
@@ -260,12 +268,7 @@ def fallbacks(monkeypatch):
 
 class TestClassifyCertificate:
     """From d = 8 classify certifies a Gram-matrix argmin and recomputes the
-    pairs it cannot certify: the result is np.argmin of np.sum, bit for bit.
-    These inputs are small, so the Gram path is taken at any size here."""
-
-    @pytest.fixture(autouse=True)
-    def gram_at_any_size(self, monkeypatch):
-        monkeypatch.setattr(centralized, "GRAM_MIN_FLOATS", 0)
+    pairs it cannot certify: the result is np.argmin of np.sum, bit for bit."""
 
     @pytest.mark.parametrize("sets", [(), (6,)])
     @pytest.mark.parametrize("d", [8, 9, 33, 100])
@@ -277,6 +280,14 @@ class TestClassifyCertificate:
         got = classify(pts, cents)
         assert got.shape == sets + (80,)
         assert np.array_equal(got, _argmin_of_sums(pts, cents))
+        # One or two points, the first on centroid 1 of set 0 and on its
+        # duplicate 4: the tie goes to index 1.
+        cents[..., 4, :] = cents[..., 1, :]
+        for few in (pts[1:2], pts[1:3]):
+            got = classify(few, cents)
+            assert got.shape == sets + (len(few),)
+            assert np.array_equal(got, _argmin_of_sums(few, cents))
+            assert got.reshape(-1, len(few))[0, 0] == 1
 
     @pytest.mark.parametrize("d", [8, 100])
     def test_single_centroid(self, d):

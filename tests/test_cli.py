@@ -122,8 +122,10 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ('["dim2k4"]', "JSON object"),
         ('{"scenario": "dim2k4", "trials": "3"}', "trials"),
         ('{"scenario": "dim2k4", "sigmas": 1.0}', "sigmas"),
+        ('{"scenario": "dim2k4", "sigmas": []}', "sigmas"),
+        ('{"scenario": "dim100k10", "d": 5, "k": 2, "n": 100}', "k=2"),
     ],
-    ids=["unknown_key", "not_object", "trials_not_int", "sigmas_not_list"],
+    ids=["unknown_key", "not_object", "trials_not_int", "sigmas_not_list", "sigmas_empty", "k_contradicts"],
 )
 def test_malformed_config_is_an_error(tmp_path, capsys, raw, reason):
     path = tmp_path / "cfg.json"

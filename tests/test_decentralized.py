@@ -37,38 +37,26 @@ def _slot_targets(cfg, rng):
     return flat_push_rows(next(_target_blocks(cfg.n_sensors, cfg.fanout, 1, 1, rng))[0], 2)
 
 
+def _start_round(net, rng):
+    """init_round from a uniformly drawn sensor, as recover draws it when none is marked."""
+    init_round(net, int(rng.choice(net.n)))
+
+
 class TestInitRound:
     def test_single_sensor(self):
         net = _network([[2.0, 3.0]])
-        chosen = init_round(net, np.random.default_rng(0))
-        assert chosen == 0
+        assert init_round(net, 0) is None
         assert np.allclose(net.estimate[0], [2.0, 3.0])
 
     def test_accumulator_is_own_point(self):
         rng = np.random.default_rng(1)
         net = _network(rng.normal(size=(15, 2)))
         net.slot = 7
-        init_round(net, rng)
+        init_round(net, 6)
+        assert np.array_equal(net.estimate, np.tile(net.y[6], (15, 1)))
         ratio = net.P / net.Q[:, None]
         assert np.allclose(ratio, net.y, atol=1e-12)
         assert net.slot == 0
-
-    def test_all_marked_rejected(self):
-        net = _network([[0.0, 0.0]])
-        net.marked[:] = True
-        with pytest.raises(RuntimeError):
-            init_round(net, np.random.default_rng(0))
-
-    def test_choice_uniform_over_unmarked(self):
-        rng = np.random.default_rng(7)
-        net = _network(np.zeros((10, 2)))
-        net.marked[:5] = True
-        counts = np.zeros(10)
-        for _ in range(10_000):
-            counts[init_round(net, rng)] += 1
-        assert counts[:5].sum() == 0
-        # chi-square uniformity over the 5 eligible sensors at the 1% level
-        assert chisquare(counts[5:]).pvalue > 0.01
 
 
 class TestSlotStep:
@@ -76,7 +64,7 @@ class TestSlotStep:
         # The first L - 1 slots of a round are inside its first epoch.
         rng = np.random.default_rng(2)
         net = _network(rng.normal(size=(10, 2)))
-        init_round(net, rng)
+        _start_round(net, rng)
         cfg = NetworkConfig(n_sensors=10, T=20, L=5, fanout=1, seed=0)
         before = net.estimate.copy()
         for _ in range(cfg.L - 1):
@@ -90,7 +78,7 @@ class TestSlotStep:
         rng = np.random.default_rng(3)
         for fanout in (1, 3):
             net = _network(rng.normal(size=(50, 2)))
-            init_round(net, rng)
+            _start_round(net, rng)
             total = net.state.sum(axis=0)
             cfg = NetworkConfig(n_sensors=50, T=20, L=20, fanout=fanout, seed=0)
             for _ in range(cfg.L - 1):
@@ -100,7 +88,7 @@ class TestSlotStep:
     def test_update_at_every_L_th_slot_and_at_T(self):
         rng = np.random.default_rng(4)
         net = _network(rng.normal(size=(20, 2)))
-        init_round(net, rng)
+        _start_round(net, rng)
         cfg = NetworkConfig(n_sensors=20, T=11, L=4, fanout=1, seed=0)
         updates = []
         for slot in range(1, cfg.T + 1):
@@ -120,8 +108,7 @@ class TestSlotStep:
         # 0 and they keep their estimate instead of taking P/Q = 0/0.
         pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [1e3, 1e3], [1e3, 1e3 + 1], [1e3 + 1, 1e3]])
         net = _network(pts)
-        net.marked[1:] = True
-        init_round(net, np.random.default_rng(0))
+        init_round(net, 0)
         assert np.array_equal(net.Q[3:], np.zeros(3))
         cfg = NetworkConfig(n_sensors=6, T=1, L=1, fanout=2, seed=0)
         targets = np.array([[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]])
@@ -139,7 +126,7 @@ class TestSlotStep:
         pts = generate_dataset(config, np.random.SeedSequence([0, 0, 0])).normalized_points()
         net = _network(pts)
         rng = np.random.default_rng(fanout)
-        init_round(net, rng)
+        _start_round(net, rng)
         theta = net.estimate.copy()
         want = h_map(pts, KERNEL2, theta[0])
         cfg = NetworkConfig(n_sensors=400, T=100, L=100, fanout=fanout, seed=0)
@@ -155,7 +142,7 @@ class TestSlotStep:
     def test_message_count(self):
         rng = np.random.default_rng(4)
         net = _network(rng.normal(size=(12, 2)))
-        init_round(net, rng)
+        _start_round(net, rng)
         cfg = NetworkConfig(n_sensors=12, T=1, L=3, fanout=2, seed=0)
         sent, _ = slot_step(net, cfg, _slot_targets(cfg, rng))
         assert sent == 12 * 2
@@ -164,7 +151,7 @@ class TestSlotStep:
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(25, 2))
         net = _network(pts)
-        init_round(net, rng)
+        _start_round(net, rng)
         theta0 = net.estimate[0].copy()
         cfg = NetworkConfig(n_sensors=25, T=1, L=25, fanout=24, seed=0)
         slot_step(net, cfg, _slot_targets(cfg, rng))
@@ -298,7 +285,7 @@ class TestFlatSlotMatchesThreeArrays:
     drawn block."""
 
     def _lockstep_run(self, monkeypatch, data, config):
-        stats = {"slots": 0, "updates": 0, "kept": 0, "block_slots": []}
+        stats = {"rounds": 0, "slots": 0, "updates": 0, "kept": 0, "block_slots": []}
         oracle = {}
         pending = collections.deque()
         real_init, real_slot = decentralized.init_round, decentralized.slot_step
@@ -315,13 +302,13 @@ class TestFlatSlotMatchesThreeArrays:
             for name in ("estimate", "P", "Q"):
                 assert _same_bits(getattr(net, name), getattr(ref, name)), name
 
-        def lockstep_init(net, rng):
-            chosen = real_init(net, rng)
+        def lockstep_init(net, chosen):
+            real_init(net, chosen)
             if "net" not in oracle:
                 oracle["net"] = PushSumNetwork(net.y, lambda u: weight(net.kernel, u))
             oracle["net"].init_round(chosen)
             check(net)
-            return chosen
+            stats["rounds"] += 1
 
         def lockstep_slot(net, cfg, rows):
             sent, updated = real_slot(net, cfg, rows)
@@ -339,6 +326,7 @@ class TestFlatSlotMatchesThreeArrays:
         results, messages = run_decentrex(data, config)
         rounds = len(results[0].iterations_per_centroid)
         assert not pending
+        assert stats["rounds"] == rounds
         assert stats["slots"] == config.T * rounds
         assert messages == stats["slots"] * config.n_sensors * config.fanout
         return stats

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -66,6 +67,35 @@ class TestExperimentConfig:
     def test_integer_fields_rejected_with_their_name(self, fields, name):
         with pytest.raises(ValueError, match=f"^{name} must be positive"):
             ExperimentConfig(scenario="custom", **fields)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"scenario": "dim2k4", "d": 3, "k": 7}, "k=7 contradicts the dim2k4 scenario's k=4"),
+            ({"scenario": "dim2k4", "d": 3}, "d=3 contradicts the dim2k4 scenario's d=2"),
+            ({"scenario": "dim100k10", "n": 100, "k": 2}, "k=2 contradicts the dim100k10 scenario's k=10"),
+            ({"centroids": np.zeros((2, 3)), "n": 4, "d": 2}, "d=2 contradicts the custom scenario's d=3"),
+            ({"scenario": "dim2k4", "sigmas": ()}, "sigmas must be a nonempty list"),
+            ({"scenario": "dim2k4", "algorithms": ()}, "algorithms must be a nonempty list"),
+        ],
+        ids=["dim2k4_d_and_k", "dim2k4_d", "dim100k10_k", "custom_d", "no_sigmas", "no_algorithms"],
+    )
+    def test_contradicting_or_empty_fields_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ExperimentConfig(**fields)
+
+    def test_from_mapping_rejects_a_contradicting_shape(self):
+        with pytest.raises(ValueError, match="^k=2 contradicts"):
+            ExperimentConfig.from_mapping({"scenario": "dim100k10", "d": 5, "k": 2, "n": 100})
+
+    def test_d_and_k_come_from_the_scenario_or_the_centroids(self):
+        cfg = ExperimentConfig(scenario="dim100k10", n=100)
+        assert (cfg.k, cfg.d) == (10, 100)
+        custom = ExperimentConfig(centroids=np.zeros((2, 3)), n=4)
+        assert (custom.k, custom.d) == (2, 3)
+        # replace passes the filled d, k and centroids back in.
+        again = dataclasses.replace(cfg, sigmas=(2.0,), trials=2)
+        assert (again.k, again.d) == (10, 100) and np.array_equal(again.centroids, cfg.centroids)
 
     def test_network_fields_checked_when_decentrex_listed(self):
         # NetworkConfig's own rules, before the kmeans10 cell would run.
