@@ -44,6 +44,7 @@ class Dataset:
 
     Points enter the library here and are checked here, once: the stages that
     use them (h_map, mark, fuse, classify, ...) do not check them again.
+    Coordinates are at most 2^470 in magnitude, and 2^52 sigma when sigma > 0.
     """
 
     points: np.ndarray
@@ -58,19 +59,16 @@ class Dataset:
             raise ValueError("points must be finite")
         if not 0 <= self.sigma < np.inf:
             raise ValueError("sigma must be finite and nonnegative")
-        # The pipelines work on the points raw or divided by sigma, both bounded
-        # by the points divided by min(sigma, 1).  Squared distances to estimates
-        # in their convex hull, and sums of N of them, are at most N squared
-        # bounding-box diagonals; a sum of the N points with weights at most 1
-        # is at most N times the farthest coordinate, and a push-sum state holds
-        # a share of one such sum.
-        with np.errstate(over="ignore"):
-            scale = self.sigma if 0 < self.sigma < 1 else 1.0
-            span = np.ptp(self.points, axis=0) / scale
-            reach = max(self.points.max(), -self.points.min()) / scale
-            bound = self.n * (np.sum(span**2) + reach)
-        if not np.isfinite(bound):
+        # K-means uses the raw points, the rest the points over sigma (at most
+        # 2^52).  A squared difference is at most 2^942, so sums of N d < 2^78
+        # of them stay below 2^1020.  Above 2^52 sigma an ulp is over sigma / 2:
+        # ten identical 7-d points at sigma = 1 gave DeCENTREx (T = 300, L = 30)
+        # one cluster at 4.5e15 and two to four at 1e16.
+        reach = np.abs(self.points).max()
+        if reach > 2.0**470:
             raise ValueError("squared distances or sums of the points overflow float64")
+        if reach > 2.0**52 * float(self.sigma) > 0:
+            raise ValueError("above 2^52 sigma one ulp of a point is as large as the noise: subtract a common offset")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
             if self.labels.shape != (self.points.shape[0],):
@@ -271,10 +269,8 @@ def classify(points, centroids) -> np.ndarray:
     G^_j - c1 C^_j > G^_b + c1 C^_b + 2 c1 X^ + (d + 2) 2^-1068 with
     c1 = 8 (d + 2) u, at least twice E_j + E_b, which leaves room for the
     rounding of the test itself while (d + 2) u < 0.1.  A tie fails the
-    strict test.
-    Squared norms above 2^1020 (or NaN) skip the test, so nothing in it
-    overflows, and every point of every set in the block is then recomputed
-    with sq_dist, in blocks of at most BUDGET bytes.
+    strict test.  Pairs that fail it are recomputed with sq_dist, in blocks of
+    at most BUDGET bytes.  Dataset's 2^470 bound keeps every term finite.
     """
     d, k = points.shape[-1], centroids.shape[-2]
     lead, n = centroids.shape[:-2], points.shape[0]
@@ -291,22 +287,20 @@ def classify(points, centroids) -> np.ndarray:
         block, best = sets[lo : lo + blocks.step], out[:, lo : lo + blocks.step]
         flat = block.reshape(-1, d)
         cc = np.einsum("ij,ij->i", flat, flat)
-        certified = np.zeros(best.shape, dtype=bool)
-        if xx.max() <= 2.0**1020 and cc.max() <= 2.0**1020:
-            g = points @ flat.T
-            g *= -2.0
-            g += cc
-            g += xx[:, None]
-            g = g.reshape(n, len(block), k)
-            np.argmin(g, axis=-1, out=best)
-            c1 = 8 * (d + 2) * 2.0**-53
-            ec = (c1 * cc).reshape(len(block), k)
-            upper = g.min(axis=-1)
-            upper += ec[np.arange(len(block)), best]
-            upper += (2 * c1) * xx[:, None] + (d + 2) * 2.0**-1068
-            g -= ec
-            g.reshape(-1, k)[np.arange(best.size), best.ravel()] = np.inf
-            certified = upper < g.min(axis=-1)
+        g = points @ flat.T
+        g *= -2.0
+        g += cc
+        g += xx[:, None]
+        g = g.reshape(n, len(block), k)
+        np.argmin(g, axis=-1, out=best)
+        c1 = 8 * (d + 2) * 2.0**-53
+        ec = (c1 * cc).reshape(len(block), k)
+        upper = g.min(axis=-1)
+        upper += ec[np.arange(len(block)), best]
+        upper += (2 * c1) * xx[:, None] + (d + 2) * 2.0**-1068
+        g -= ec
+        g.reshape(-1, k)[np.arange(best.size), best.ravel()] = np.inf
+        certified = upper < g.min(axis=-1)
         rows, cols = np.nonzero(~certified)
         step = max(1, BUDGET // (8 * k * d))
         for at in range(0, len(rows), step):

@@ -75,6 +75,8 @@ class ExperimentConfig:
         # Ranges are checked here, so a bad value stops the sweep before any cell runs.
         if not all(0 <= s < np.inf for s in self.sigmas):
             raise ValueError(f"sigmas must be finite and nonnegative, got {self.sigmas!r}")
+        if 0 in self.sigmas and {"centrex", "centrex_gaussian", "decentrex"} & set(self.algorithms):
+            raise ValueError(f"sigmas must be positive when centrex or decentrex is listed, got {self.sigmas!r}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         if not 0 < self.gamma < 1:
@@ -168,11 +170,13 @@ def classification_error(true_labels, assignments, k_true, k_hat) -> float:
     assignments = np.asarray(assignments, dtype=int)
     if true_labels.shape != assignments.shape:
         raise ValueError("label arrays must have equal length")
-    # Stray labels beyond k_hat still occupy a column; an unmatched column
-    # just counts as errors, which is the intended semantics.
+    if np.any((true_labels < 0) | (true_labels >= k_true)):
+        raise ValueError(f"true_labels must lie in [0, k_true={k_true})")
+    if np.any(assignments < 0):
+        raise ValueError("assignments must be nonnegative")
+    # An assignment beyond k_hat gets its own column; an unmatched column counts as errors.
     k_hat = max(k_hat, int(assignments.max()) + 1)
-    contingency = np.zeros((k_true, k_hat), dtype=int)
-    np.add.at(contingency, (true_labels, assignments), 1)
+    contingency = np.bincount(true_labels * k_hat + assignments, minlength=k_true * k_hat).reshape(k_true, k_hat)
     rows, cols = linear_sum_assignment(-contingency)
     matched = int(contingency[rows, cols].sum())
     return 1.0 - matched / true_labels.size

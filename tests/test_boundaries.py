@@ -3,6 +3,8 @@ to them is a decision rather than an accident."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centrex.baselines import KMeansConfig, kmeans_replicated
 from centrex.centralized import Dataset, run_centrex
@@ -56,13 +58,19 @@ def _far_from_origin():
     return Dataset(points=np.column_stack([np.full(20, 1e307), rng.normal(size=20)]), sigma=1.0)
 
 
+def _identical_7d(magnitude, sigma):
+    return lambda: Dataset(points=np.full((10, 7), magnitude), sigma=sigma)
+
+
 NOISELESS = "cannot normalize a noiseless dataset"
 OVERFLOW = "overflow float64"
+ULP = "one ulp of a point is as large as the noise"
 
 # (dataset, {pipeline: set of k_hat over its results, or the error message}).
-# K-means has a fixed k and runs on every input that Dataset accepts; Dataset
-# rejects points whose squared distances or sums overflow, so no pipeline sees
-# them.
+# K-means has a fixed k and runs on every input that Dataset accepts.  Dataset
+# rejects a coordinate above 2^470, where squared distances or sums could
+# overflow, and one above 2^52 sigma, where one ulp is as large as the noise,
+# so no pipeline sees them.
 CASES = {
     "noiseless": (_noiseless, {"centrex": NOISELESS, "decentrex": NOISELESS}),
     "overflowing": (
@@ -73,6 +81,13 @@ CASES = {
         _far_from_origin,
         {"centrex": OVERFLOW, "decentrex": OVERFLOW, "kmeans10": OVERFLOW},
     ),
+    # In noise units the points are 1e10, but K-means' raw squared distances overflow.
+    "1e170_at_sigma_1e160": (
+        _identical_7d(1e170, 1e160),
+        {"centrex": OVERFLOW, "decentrex": OVERFLOW, "kmeans10": OVERFLOW},
+    ),
+    "ulp_above_noise_1e16": (_identical_7d(1e16, 1.0), {"centrex": ULP, "decentrex": ULP, "kmeans10": ULP}),
+    "ulp_above_noise_1e17": (_identical_7d(1e17, 1.0), {"centrex": ULP, "decentrex": ULP, "kmeans10": ULP}),
     "identical": (_identical, {"centrex": {1}, "decentrex": {1}}),
     "dim_exceeds_count": (_dim_exceeds_count, {"centrex": {1}, "decentrex": {1}}),
     # 10 of the 40 sensors keep a third centroid: 5-slot epochs do not mix
@@ -93,6 +108,38 @@ def test_degenerate_input(case, pipeline):
             PIPELINES[pipeline](make_data())
     else:
         assert PIPELINES[pipeline](make_data()) == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(
+    n=st.integers(2, 12),
+    d=st.integers(1, 8),
+    log_offset=st.floats(-320, 300),
+    log_spread=st.floats(-320, 300),
+    log_sigma=st.floats(-320, 300),
+    identical=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_accepted_input_runs_clean(n, d, log_offset, log_spread, log_sigma, identical, seed):
+    # Whatever Dataset accepts, every pipeline finishes with finite centroids
+    # and no RuntimeWarning, and identical points form one cluster.
+    rng = np.random.default_rng(seed)
+    points = np.tile(10.0**log_offset * rng.uniform(-1, 1, d), (n, 1))
+    if not identical:
+        points += 10.0**log_spread * rng.standard_normal((n, d))
+    try:
+        data = Dataset(points=points, sigma=10.0**log_sigma)
+    except ValueError as err:
+        assert str(err).startswith(("squared distances", "above 2^52 sigma"))
+        return
+    centrex = run_centrex(data)
+    kmeans = kmeans_replicated(data, KMeansConfig(k=2, replicates=3))
+    decentrex, _ = run_decentrex(data, NetworkConfig(n_sensors=n, T=60, L=10))
+    for result in [centrex, kmeans, *decentrex]:
+        assert np.all(np.isfinite(result.centroids))
+    if identical:
+        assert {r.k_hat for r in [centrex, *decentrex]} == {1}
 
 
 def _centrex_results(data, k):

@@ -316,16 +316,6 @@ class TestClassifyCertificate:
         assert np.array_equal(classify(pts, cents), _argmin_of_sums(pts, cents))
         assert fallbacks[0] > 0
 
-    def test_norms_near_overflow_skip_the_gram_matrix(self, fallbacks):
-        # ||x||^2 is finite but above 2^1020, and 2 x.c would overflow.
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(30, 8)) * 1e152 + 4.5e153
-        cents = rng.normal(size=(2, 5, 8)) * 1e152 + 4.5e153
-        want = _argmin_of_sums(pts, cents)
-        with np.errstate(all="raise"):
-            assert np.array_equal(classify(pts, cents), want)
-        assert fallbacks[0] == 60
-
     @pytest.mark.parametrize("scale", [1e-160, 1e-162, 2.0**-1074])
     @pytest.mark.parametrize("d", [8, 100])
     def test_tiny_and_subnormal_points(self, d, scale):

@@ -77,8 +77,12 @@ class TestExperimentConfig:
             ({"centroids": np.zeros((2, 3)), "n": 4, "d": 2}, "d=2 contradicts the custom scenario's d=3"),
             ({"scenario": "dim2k4", "sigmas": ()}, "sigmas must be a nonempty list"),
             ({"scenario": "dim2k4", "algorithms": ()}, "algorithms must be a nonempty list"),
+            (
+                {"scenario": "dim2k4", "n": 40, "sigmas": (1.0, 0.0), "algorithms": ("kmeans10", "centrex")},
+                "sigmas must be positive",
+            ),
         ],
-        ids=["dim2k4_d_and_k", "dim2k4_d", "dim100k10_k", "custom_d", "no_sigmas", "no_algorithms"],
+        ids=["dim2k4_d_and_k", "dim2k4_d", "dim100k10_k", "custom_d", "no_sigmas", "no_algorithms", "zero_sigma"],
     )
     def test_contradicting_or_empty_fields_rejected(self, fields, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -96,6 +100,11 @@ class TestExperimentConfig:
         # replace passes the filled d, k and centroids back in.
         again = dataclasses.replace(cfg, sigmas=(2.0,), trials=2)
         assert (again.k, again.d) == (10, 100) and np.array_equal(again.centroids, cfg.centroids)
+
+    def test_zero_sigma_runs_for_kmeans_alone(self):
+        config = ExperimentConfig(scenario="dim2k4", n=40, sigmas=(0.0,), algorithms=("kmeans10",))
+        [row] = run_experiment(config)
+        assert row["sigma"] == 0.0 and row["pe"] == 0.0
 
     def test_network_fields_checked_when_decentrex_listed(self):
         # NetworkConfig's own rules, before the kmeans10 cell would run.
@@ -168,6 +177,20 @@ class TestClassificationError:
         labels = np.repeat(np.arange(4), 25)
         assignments = np.zeros(100, dtype=int)
         assert classification_error(labels, assignments, 4, 1) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize(
+        "labels, assignments, name",
+        [
+            ([0, 0, 1, -1], [0, 0, 1, 1], "true_labels"),
+            ([0, 0, 1, 2], [0, 0, 1, 1], "true_labels"),
+            ([0, 0, 1, 1], [0, 0, 1, -1], "assignments"),
+        ],
+        ids=["negative_label", "label_k_true", "negative_assignment"],
+    )
+    def test_out_of_range_labels_rejected(self, labels, assignments, name):
+        # A -1 used to wrap onto the last row or column and count as correct.
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            classification_error(labels, assignments, k_true=2, k_hat=2)
 
     @given(
         n=st.integers(10, 60),
