@@ -35,6 +35,7 @@ __all__ = [
 # fanout (d + 1) n int64 per slot (dim2k4, n = 400, fanout 1: 9 600 bytes, so
 # 109 slots per block; 12 slots at d = 100, n = 100).
 BUDGET = 1 << 20
+TINY = np.finfo(float).tiny  # smallest normal float64, 2^-1022
 
 
 @dataclass
@@ -95,6 +96,12 @@ class ClusteringResult:
     Both pipelines fill the per-centroid lists in estimation order, before
     fusion: run_centrex with fixed_point's iterations and flags, run_decentrex
     with each round's ceil(T / L) epochs and whether every sensor took P/Q.
+
+    run_centrex's support_counts are fused sums of recover's per-pass
+    supports, which count points marked by an earlier pass again: a cluster
+    estimated twice counts twice, and the supports can sum above N (32 of 50
+    dim2k4 trials at N = 400, sigma = 1.5).  run_decentrex's are fused sums
+    of the surrogate N / rounds.
     """
 
     centroids: np.ndarray
@@ -135,6 +142,13 @@ def h_map(points: np.ndarray, kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
         # nearest points since the kernel is decreasing.
         nearest = u == u.min()
         return points[nearest].mean(axis=0)
+    if total < TINY:
+        # Only subnormal weights, whose products with the points keep too
+        # few bits: at u/4 in (744, 745), 25 points near (54.57, 0.03) came
+        # back as (55, 0).  The ratio is scale-free, and scaling by 2^600 is
+        # exact and brings every weight into the normal range.
+        w = w * 2.0**600
+        total = np.sum(w)
     return points.T @ w / total
 
 
@@ -169,7 +183,8 @@ def recover(points, wald_cfg: WaldConfig, rng: np.random.Generator, estimate):
     start uniformly among the unmarked points, calls estimate(start) for
     (theta, iterations, converged), theta being one (d,) centroid or one (n, d)
     row per sensor, and marks the start and what mark attributes to theta.
-    Returns the lists (thetas, supports, iterations, flags)."""
+    Returns the lists (thetas, supports, iterations, flags); a support counts
+    the start and every point mark attributes to theta, marked before or not."""
     marked = np.zeros(len(points), dtype=bool)
     passes = []
     while not marked.all():

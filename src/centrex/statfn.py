@@ -12,6 +12,12 @@ square root of chi2_d's upper-gamma quantile.
 The chi-square functions come from scipy.special (gammaincc, chdtri, and
 the density expression of scipy.stats.chi2.pdf), so importing this module
 does not load scipy.stats; scipy.integrate serves the r_squared quadrature.
+At d = 2 the p-value is Q(1, x) = exp(-x) (for integer a, Q(a, x) is exp(-x)
+times the first a terms of e^x's series; DLMF 8.4), and weight and marcum_q
+take np.exp: against 50-digit mpmath on x in [0, 700] it is at most 0.54 eps
+off, gammaincc(1, x) up to 257 eps.  Other d keep gammaincc: at d = 100 the
+finite sum underflows differently where the weights vanish, which is h_map's
+fallback path.
 """
 
 from __future__ import annotations
@@ -59,11 +65,15 @@ class KernelSpec:
 
 def marcum_q(a: float, x: float) -> float:
     """Survival function of the chi-square with 2a degrees of freedom at x^2:
-    the regularized upper incomplete gamma Gamma(a, x^2/2) / Gamma(a)."""
+    the regularized upper incomplete gamma Gamma(a, x^2/2) / Gamma(a).
+
+    At a = 1 it is exp(-x^2/2), the d = 2 weight at u = 2 x^2, bit for bit."""
     if not (np.isfinite(a) and np.isfinite(x)):
         raise ValueError("marcum_q requires finite arguments")
     if a <= 0 or x < 0:
         raise ValueError("marcum_q requires a > 0 and x >= 0")
+    if a == 1:
+        return float(np.exp(-0.5 * x * x))
     return float(gammaincc(a, 0.5 * x * x))
 
 
@@ -104,12 +114,16 @@ def fusion_sigma(r: float, n_k: int, n_l: int) -> float:
 def weight(kernel: KernelSpec, u):
     """Evaluate the kernel at squared distances u, a float or an array of them.
 
-    The p-value kernel is marcum_q(d/2, sqrt(u/2)); the gaussian kernel is
-    exp(-beta * u).  Values lie in (0, 1] and decrease in u.  Takes validated
-    input: u finite and nonnegative, as every distance between the points of
-    a Dataset is.
+    The p-value kernel is marcum_q(d/2, sqrt(u/2)), which is exp(-u/4) at
+    d = 2 and gammaincc(d/2, u/4) at any other d (see the module docstring);
+    the gaussian kernel is exp(-beta * u).  Values lie in [0, 1] and decrease
+    in u; they underflow to 0 for u/4 past about 745 at d = 2.  Takes
+    validated input: u finite and nonnegative, as every distance between the
+    points of a Dataset is.
     """
     if kernel.kind == "wald":
+        if kernel.d == 2:
+            return np.exp(-0.25 * u)
         return gammaincc(0.5 * kernel.d, 0.25 * u)
     return np.exp(-kernel.beta * u)
 

@@ -55,6 +55,35 @@ class TestHMap:
         assert pts.min(0)[0] <= out[0] <= pts.max(0)[0]
         assert pts.min(0)[1] <= out[1] <= pts.max(0)[1]
 
+    @staticmethod
+    def _at_quarter_sq_dist(lo, hi, arc, seed):
+        """25 points whose u/4 from the origin is uniform in (lo, hi), at
+        angles uniform over `arc` radians."""
+        rng = np.random.default_rng(seed)
+        radius = np.sqrt(4 * rng.uniform(lo, hi, 25))
+        angle = rng.uniform(0.0, arc, 25)
+        return np.c_[radius * np.cos(angle), radius * np.sin(angle)]
+
+    @pytest.mark.parametrize("lo", [717, 740, 744])
+    @pytest.mark.parametrize("arc", [2 * math.pi, 1.0, 1e-3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_subnormal_weights_stay_in_the_hull(self, lo, arc, seed):
+        # exp(-u/4) is subnormal, not 0, from u/4 = 708.4 to 745.1, and
+        # near 745 it keeps one or two bits.
+        pts = self._at_quarter_sq_dist(lo, 745, arc, seed)
+        w = weight(KERNEL2, sq_dist(pts, np.zeros(2)))
+        assert 0.0 < np.sum(w) < np.finfo(float).tiny
+        out = h_map(pts, KERNEL2, np.zeros(2))
+        assert np.all(np.isfinite(out))
+        assert np.all(pts.min(0) <= out) and np.all(out <= pts.max(0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_underflowed_weights_take_the_nearest_point(self, seed):
+        pts = self._at_quarter_sq_dist(746, 800, 2 * math.pi, seed)
+        u = sq_dist(pts, np.zeros(2))
+        assert not np.any(weight(KERNEL2, u))
+        assert np.array_equal(h_map(pts, KERNEL2, np.zeros(2)), pts[np.argmin(u)])
+
 
 class TestFixedPoint:
     def test_fixed_input_returns_immediately(self):

@@ -14,7 +14,7 @@ import centrex
 from centrex import statfn
 from centrex.statfn import KernelSpec, marcum_q, r_squared, threshold_mu, weight
 
-from oracles import chi2_survival
+from oracles import chi2_survival, upper_gamma_regularized
 
 
 class TestMarcumQ:
@@ -24,6 +24,14 @@ class TestMarcumQ:
     def test_d2_closed_form(self):
         # chi2_2 survival at x^2 is exp(-x^2/2)
         assert marcum_q(1, 3.71692) == pytest.approx(1.0e-3, abs=1e-8)
+
+    def test_d2_is_the_d2_weight(self):
+        # One p-value for one test: both are np.exp of the same exact argument.
+        xs = np.concatenate([np.linspace(0.0, 40.0, 2001), [1e-160, 1e-5, 38.6, 38.7]])
+        want = weight(KernelSpec("wald", 2), 2 * xs * xs)
+        got = np.array([marcum_q(1, x) for x in xs])
+        assert np.array_equal(got, want)
+        assert all(marcum_q(1, x) == weight(KernelSpec("wald", 2), 2 * x * x) for x in xs)
 
     def test_matches_independent_incomplete_gamma(self):
         for d in (1, 2, 5, 100):
@@ -77,6 +85,24 @@ class TestWeight:
 
     def test_d2_closed_form(self):
         assert weight(KernelSpec("wald", 2), 4.0) == pytest.approx(math.exp(-1), rel=1e-12)
+
+    # u/4 runs up to 700, where exp(-u/4) is still a normal float.
+    D2_GRID = np.linspace(0.0, 2800.0, 4001)
+
+    def test_d2_within_one_ulp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            got = weight(KernelSpec("wald", 2), self.D2_GRID)
+            for u, w in zip(self.D2_GRID, got):
+                exact = mpmath.exp(-mpmath.mpf(float(u)) / 4)
+                assert abs(mpmath.mpf(float(w)) - exact) <= np.spacing(float(exact)), u
+
+    def test_d2_matches_independent_incomplete_gamma(self):
+        # The oracle is itself up to 257 eps off (near u/4 = 590), so it
+        # checks the closed form's value, not its last bits.
+        got = weight(KernelSpec("wald", 2), self.D2_GRID)
+        want = [upper_gamma_regularized(1, u / 4) for u in self.D2_GRID]
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_gaussian(self):
         k = KernelSpec("gaussian", 2, beta=1.0)
