@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .baselines import KMeansConfig, centrex_gaussian, kmeans_replicated
 from .centralized import Dataset, distortion, run_centrex
@@ -165,11 +164,12 @@ def classification_error(true_labels, assignments, k_true, k_hat) -> float:
     Builds the k_true x k_hat contingency matrix, finds the one-to-one
     matching maximizing the correctly assigned count, and returns
     1 - matched / N.  Estimated clusters left unmatched count as errors.
+    Row maxima in distinct columns bound every matching and form one; else _max_matching searches.
     """
     true_labels = np.asarray(true_labels, dtype=int)
     assignments = np.asarray(assignments, dtype=int)
-    if true_labels.shape != assignments.shape:
-        raise ValueError("label arrays must have equal length")
+    if true_labels.shape != assignments.shape or true_labels.size == 0:
+        raise ValueError("true_labels and assignments must be nonempty and of equal length")
     if np.any((true_labels < 0) | (true_labels >= k_true)):
         raise ValueError(f"true_labels must lie in [0, k_true={k_true})")
     if np.any(assignments < 0):
@@ -177,9 +177,35 @@ def classification_error(true_labels, assignments, k_true, k_hat) -> float:
     # An assignment beyond k_hat gets its own column; an unmatched column counts as errors.
     k_hat = max(k_hat, int(assignments.max()) + 1)
     contingency = np.bincount(true_labels * k_hat + assignments, minlength=k_true * k_hat).reshape(k_true, k_hat)
-    rows, cols = linear_sum_assignment(-contingency)
-    matched = int(contingency[rows, cols].sum())
+    c = contingency.T if k_true > k_hat else contingency  # rows the shorter side
+    best = c.argmax(axis=1)
+    matched = int(c.max(axis=1).sum()) if np.unique(best).size == best.size else _max_matching(c)
     return 1.0 - matched / true_labels.size
+
+
+def _max_matching(c) -> int:
+    """Largest sum of c over one-to-one matchings of its n rows to its m >= n columns: shortest
+    augmenting paths with potentials u, v (Kuhn 1955; Jonker & Volgenant 1987), O(n^2 m).  Column 0
+    is a virtual start, owner[j] the 1-based row on column j; the counts are integers, so v[0] ends
+    exactly at the largest sum."""
+    n, m = c.shape
+    u, v, owner, via = np.zeros(n + 1), np.zeros(m + 1), np.zeros(m + 1, dtype=int), np.zeros(m + 1, dtype=int)
+    for i in range(1, n + 1):
+        owner[0], j0 = i, 0
+        slack, used = np.full(m + 1, np.inf), np.zeros(m + 1, dtype=bool)
+        while owner[j0]:
+            used[j0] = True
+            reduced = -c[owner[j0] - 1] - u[owner[j0]] - v[1:]
+            better = ~used[1:] & (reduced < slack[1:])
+            slack[1:][better], via[1:][better] = reduced[better], j0
+            j0 = int(np.argmin(np.where(used, np.inf, slack)))
+            delta = slack[j0]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while j0:
+            owner[j0], j0 = owner[via[j0]], via[j0]
+    return int(v[0])
 
 
 @dataclass(frozen=True)

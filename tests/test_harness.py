@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment
 
 from centrex import centralized
 from centrex.harness import (
@@ -206,6 +208,32 @@ class TestClassificationError:
         got = classification_error(labels, assignments, k_true, k_hat)
         want = brute_force_matching_error(labels, assignments, k_true, k_hat)
         assert got == pytest.approx(want, abs=1e-12)
+
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ValueError, match="^true_labels and assignments must be nonempty"):
+            classification_error([], [], k_true=2, k_hat=2)
+
+    @given(
+        contingency=hnp.arrays(
+            np.int64,
+            st.tuples(st.integers(1, 12), st.integers(1, 40)),
+            # Few distinct counts make ties; zero rows and columns come with them.
+            elements=st.one_of(st.integers(0, 3), st.sampled_from([0, 5, 50])),
+        ),
+        transpose=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_assignment(self, contingency, transpose):
+        if transpose:
+            contingency = contingency.T
+        if contingency.sum() == 0:
+            contingency[0, 0] = 1
+        k_true, k_hat = contingency.shape
+        cells = np.repeat(np.arange(contingency.size), contingency.ravel())
+        labels, assignments = np.divmod(cells, k_hat)
+        rows, cols = linear_sum_assignment(-contingency)
+        want = 1.0 - int(contingency[rows, cols].sum()) / cells.size
+        assert classification_error(labels, assignments, k_true, k_hat) == want
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=50, deadline=None)

@@ -152,24 +152,48 @@ class TestRSquared:
         d, b = 4, 0.5
         want = ((1 + 2 * b) ** 2 / (1 + 4 * b)) ** (d / 2)
         got = r_squared(KernelSpec("gaussian", d, beta=b))
-        assert got == pytest.approx(want, rel=1e-8)
+        assert abs(got - want) <= math.ulp(want)
 
-    @pytest.mark.parametrize(
-        "kind, d, beta, want",
-        [
-            ("wald", 1, 1.0, "0x1.2b7a821ad8b41p+0"),
-            ("wald", 2, 1.0, "0x1.2000000000000p+0"),
-            ("wald", 7, 1.0, "0x1.0d05325c79510p+0"),
-            ("wald", 100, 1.0, "0x1.00004eca9bc9cp+0"),
-            ("wald", 300, 1.0, "0x1.0000000000190p+0"),
-            ("gaussian", 4, 0.5, "0x1.c71c71c71c71dp+0"),
-            ("gaussian", 100, 2.0, "0x1.9ee1f379b9c5bp+73"),
-            ("gaussian", 300, 0.1, "0x1.11abb9397ce99p+6"),
-        ],
-    )
+    PINNED = [
+        ("wald", 1, 1.0, "0x1.2b7a821ad8a21p+0"),
+        ("wald", 2, 1.0, "0x1.2000000000000p+0"),
+        ("wald", 7, 1.0, "0x1.0d05325c79548p+0"),
+        ("wald", 100, 1.0, "0x1.00004eca9bcfcp+0"),
+        ("wald", 300, 1.0, "0x1.0000000000159p+0"),
+        ("gaussian", 4, 0.5, "0x1.c71c71c71c71cp+0"),
+        ("gaussian", 100, 2.0, "0x1.9ee1f379b9cc4p+73"),
+        ("gaussian", 300, 0.1, "0x1.11abb9397ce8ep+6"),
+    ]
+
+    @pytest.mark.parametrize("kind, d, beta, want", PINNED)
     def test_quadrature_values_pinned(self, kind, d, beta, want):
-        # Recorded when the chi2_d quantile and density came from scipy.stats.chi2.
+        # Recorded from the Gauss-Legendre rule and the closed forms, each
+        # checked first against the 40-digit references of the next test.
         assert r_squared.__wrapped__(KernelSpec(kind, d, beta=beta)).hex() == want
+
+    @pytest.mark.parametrize("kind, d, beta", [case[:3] for case in PINNED])
+    def test_matches_mpmath(self, kind, d, beta):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            half, b = mp.mpf(d) / 2, mp.mpf(beta)
+            if kind == "gaussian":
+                want = (1 + 4 * b) ** -half / ((1 + 2 * b) ** -half) ** 2
+                # The bases 1 + 2b and 1 + 4b are rounded to doubles, and the power
+                # d/2 magnifies that: 2e-15 relative at d = 300, beta = 0.1.
+                tol = 1e-14
+            else:
+                # E[w] = P(chi2_d <= 2 chi2'_d) = I_{2/3}(d/2, d/2).  E[w^2] is
+                # integrated over s = t^2 with breaks at chi2_d's bulk.
+                first = mp.betainc(half, half, 0, mp.mpf(2) / 3, regularized=True)
+                w = lambda s: mp.gammainc(half, s / 4, mp.inf, regularized=True)
+                pdf = lambda s: mp.exp((half - 1) * mp.log(s) - s / 2 - mp.loggamma(half) - half * mp.log(2))
+                spread = 12 * mp.sqrt(4 * half)
+                breaks = sorted({mp.sqrt(max(2 * half + k * spread, 0)) for k in (-1, 0, 1)} | {0, mp.inf})
+                second = mp.quad(lambda t: w(t * t) ** 2 * pdf(t * t) * 2 * t, breaks)
+                want = second / first**2
+                tol = 2e-15  # the rule's worst error, at d = 1, is 9.4e-16
+            got = r_squared.__wrapped__(KernelSpec(kind, d, beta=beta))
+            assert abs(got - want) / want <= tol
 
     def test_underflowing_mean_weight_rejected(self):
         # E[w] = 5^-250 for this kernel, and its square underflows to zero.
@@ -177,9 +201,9 @@ class TestRSquared:
             r_squared.__wrapped__(KernelSpec("gaussian", 500, beta=2.0))
 
     def test_invalid_value_rejected(self, monkeypatch):
-        # A quadrature giving 2 for both expectations makes r^2 = 2 / 2^2 = 0.5,
+        # A rule giving 2 for both expectations makes r^2 = 2 / 2^2 = 0.5,
         # below Jensen's bound of 1, which r_squared must refuse.
-        monkeypatch.setattr(statfn.integrate, "quad", lambda *a, **k: (2.0, 0.0))
+        monkeypatch.setattr(statfn, "_wald_moments", lambda d: (2.0, 2.0))
         with pytest.raises(ValueError, match="Jensen"):
             r_squared.__wrapped__(KernelSpec("wald", 2))
 
@@ -271,16 +295,22 @@ class TestMemoizedConstants:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["0"]
 
-    def test_running_a_pipeline_does_not_import_scipy_stats(self):
+    def test_running_a_pipeline_does_not_import_scipy_stats(self, tmp_path):
+        # scipy.integrate, scipy.optimize and scipy.stats each add start-up time
+        # and memory to every process; no pipeline, sweep, CLI or r^2 path needs them.
         code = (
             "import sys\n"
-            "import numpy as np\n"
             "import centrex, centrex.cli\n"
-            "pts = np.random.default_rng(0).normal(size=(20, 2)) + np.repeat([[0.0, 0.0], [9.0, 9.0]], 10, axis=0)\n"
-            "centrex.run_centrex(centrex.Dataset(points=pts, sigma=1.0))\n"
-            "print('scipy.stats' in sys.modules)"
+            "from centrex.harness import ExperimentConfig, run_experiment\n"
+            "from centrex.statfn import KernelSpec, r_squared\n"
+            "config = ExperimentConfig(scenario='dim2k4', n=40, algorithms=('centrex', 'decentrex', 'kmeans10'),\n"
+            "                          slots_t=20, update_l=5)\n"
+            f"run_experiment(config, out_dir={str(tmp_path)!r})\n"
+            "r_squared(KernelSpec('wald', 3)), r_squared(KernelSpec('gaussian', 3, beta=0.5))\n"
+            "print(*(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.stats') if m in sys.modules))"
         )
         src = str(Path(centrex.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["False"]
+        assert out.stdout.split() == []
+        assert (tmp_path / "results.csv").exists()
